@@ -26,7 +26,7 @@ use dna_io::{
     parse_snapshot, parse_trace, write_query, write_report, write_snapshot, write_trace, EpochDiff,
     Query, QueryKind, Report, Response, SubscriptionSpec, Trace,
 };
-use dna_serve::{serve_stream, SessionConfig, SessionManager};
+use dna_serve::SessionConfig;
 use net_model::{Flow, Snapshot};
 use std::fmt::Write as _;
 use std::process::ExitCode;
@@ -46,8 +46,7 @@ USAGE:
   dna serve [name=]<snap-file>... [--retain <n>] [--retain-bytes <n>]
             [--verify] [--quiet] [--shards <n>] [--socket <path>]
             [--listen <addr>] [--follow [name=]<trace-file>]...
-            [--threads per-session|single] [--metrics-interval <secs>]
-            [--coalesce <max>]
+            [--metrics-interval <secs>] [--coalesce <max>]
             [--checkpoint-dir <dir> [--checkpoint-every <n>] [--resume]]
   dna query [--session <name>] [--socket <path>] [--connect <addr>]
             [--prometheus] [--rates] <command>
@@ -80,15 +79,19 @@ one response artifact each to stdout, until end of input. With
 after stdin ends. --follow tails a growing trace file (repeatable;
 name= targets a session, default the default session), ingesting each
 epoch as it completes and finishing when the trace's end sentinel is
-written. With --socket, --listen or --follow, sessions get one engine
-thread each (parallel bring-up, concurrent multi-session ingest);
---threads single falls back to one shared engine thread. --listen
-binds a TCP front door (e.g. 127.0.0.1:7700; port 0 picks a free port,
-announced on stderr): each connection is served by its own reader
-thread, and read-only queries (reach, reach-pair, blast, report,
-stats) are answered from the session's latest published read view —
-one atomic version check, no engine-thread round trip — while ingest
-and the remaining queries route to the engine. --shards fans engine
+written. --listen binds a TCP front door (e.g. 127.0.0.1:7700; port 0
+picks a free port, announced on stderr): each connection is served by
+its own reader thread, and read-only queries (reach, reach-pair,
+blast, report, stats) are answered from the session's latest
+published read view — one atomic version check, no engine-thread
+round trip — while ingest and the remaining queries route to the
+engine. Whichever transports feed it, the server runs every session on
+its own engine thread (parallel bring-up, concurrent multi-session
+ingest), and a session whose engine panics is fenced off: it answers
+`failed` errors until a snapshot reloads it, while the server and the
+other sessions keep serving. --coalesce <max> lets a session with an
+ingest backlog merge up to <max> queued epochs into one commit (0 or 1
+disables). --shards fans engine
 bring-up out over N workers (identical results, see README). --retain
 bounds the per-session epoch history (default 64) and --retain-bytes
 adds a byte budget on its canonical serialized size; --verify attaches
@@ -686,7 +689,6 @@ fn cmd_serve(rest: &[String]) -> Result<ExitCode, String> {
             "socket",
             "listen",
             "shards",
-            "threads",
             "follow",
             "checkpoint-dir",
             "checkpoint-every",
@@ -719,15 +721,6 @@ fn cmd_serve(rest: &[String]) -> Result<ExitCode, String> {
     if shards == 0 {
         return Err("--shards must be at least 1".into());
     }
-    let per_session = match args.flag("threads").unwrap_or("per-session") {
-        "per-session" => true,
-        "single" => false,
-        other => {
-            return Err(format!(
-                "--threads must be per-session|single, got {other:?}"
-            ))
-        }
-    };
     let quiet = args.has("quiet");
     // All operator-facing stderr below routes through dna_obs::log:
     // `info` lines honor --quiet, `announce` lines always print.
@@ -770,13 +763,8 @@ fn cmd_serve(rest: &[String]) -> Result<ExitCode, String> {
         return Err("--checkpoint-every needs --checkpoint-dir".into());
     }
     // Backlog epoch coalescing: 0/1 disables; N>=2 lets a flooded
-    // session merge up to N queued epochs into one engine commit. The
-    // drain lives in the per-session engine loop, so the shared-thread
-    // fallback cannot honor it — reject rather than silently ignore.
+    // session merge up to N queued epochs into one engine commit.
     let coalesce: usize = args.parsed("coalesce", 0)?;
-    if coalesce >= 2 && !per_session {
-        return Err("--coalesce needs --threads per-session (the default)".into());
-    }
     let config = SessionConfig {
         retain,
         retain_bytes,
@@ -869,35 +857,8 @@ fn cmd_serve(rest: &[String]) -> Result<ExitCode, String> {
             Ok((session, path.to_string()))
         })
         .collect::<Result<_, String>>()?;
-    let socket = args.flag("socket");
-    let listen = args.flag("listen");
-    if socket.is_none() && listen.is_none() && follows.is_empty() {
-        // Pure pipe mode: one client, one engine thread, no channels —
-        // the deterministic path the pinned service smoke drives.
-        let mut mgr = open_preloaded(config, preload, resumes)?;
-        let stdin = std::io::stdin();
-        let stdout = std::io::stdout();
-        let summary = serve_stream(&mut mgr, None, &mut stdin.lock(), &mut stdout.lock())
-            .map_err(|e| format!("serve loop: {e}"))?;
-        print_summary(&summary);
-        return Ok(ExitCode::SUCCESS);
-    }
-    serve_channels(
-        config,
-        preload,
-        resumes,
-        follows,
-        FrontDoors { socket, listen },
-        per_session,
-    )
-}
-
-/// The client-facing listeners of a channel-mode server: a unix socket
-/// path and/or a TCP listen address (either may be absent — a
-/// `--follow`-only server has no front door at all).
-struct FrontDoors<'a> {
-    socket: Option<&'a str>,
-    listen: Option<&'a str>,
+    let (socket, listen) = (args.flag("socket"), args.flag("listen"));
+    serve(config, preload, resumes, follows, socket, listen)
 }
 
 /// Every `<name>.ckpt.dna` checkpoint in a directory, parsed, in file
@@ -928,33 +889,6 @@ fn scan_checkpoints(
     Ok(out)
 }
 
-/// Opens every startup session into a single-threaded manager —
-/// fresh snapshots and checkpoint resumes alike — announcing each load
-/// (shared by pipe mode and `--threads single`).
-fn open_preloaded(
-    config: SessionConfig,
-    preload: Vec<(String, Snapshot)>,
-    resumes: Vec<(dna_io::Checkpoint, Snapshot)>,
-) -> Result<SessionManager, String> {
-    let mut mgr = SessionManager::new(config);
-    for (name, snapshot) in preload {
-        let devices = snapshot.device_count();
-        mgr.open(&name, snapshot)?;
-        dna_obs::log::info(&format!(
-            "dna serve: session {name:?} loaded ({devices} devices)"
-        ));
-    }
-    for (ckpt, snapshot) in resumes {
-        let devices = snapshot.device_count();
-        let (name, epochs) = (ckpt.session.clone(), ckpt.epochs);
-        mgr.resume_checkpoint(&ckpt, snapshot)?;
-        dna_obs::log::info(&format!(
-            "dna serve: session {name:?} resumed at epoch {epochs} ({devices} devices)"
-        ));
-    }
-    Ok(mgr)
-}
-
 fn print_summary(summary: &dna_serve::ServeSummary) {
     let failures = if summary.failures > 0 {
         format!(", {} session failure(s)", summary.failures)
@@ -967,101 +901,73 @@ fn print_summary(summary: &dna_serve::ServeSummary) {
     ));
 }
 
-/// Channel mode (socket and/or follow pumps): pumps feed raw artifact
-/// text to the engine side over channels. With `--threads per-session`
-/// (the default) the engine side is a [`dna_serve::Router`] — one
-/// engine thread per session, so sessions load and ingest
-/// concurrently; with `--threads single` it is the PR-3 broker, every
-/// session on this thread. Runs until every pump is done (forever, in
-/// socket mode).
-#[cfg(unix)]
-fn serve_channels(
+/// Runs the server. Every transport — stdin always, plus the
+/// `--follow` tails and the `--socket`/`--listen` front doors when
+/// given — pumps raw artifact text into one [`dna_serve::Router`],
+/// which runs each session on its own engine thread. Returns once
+/// every pump is done: at end of stdin in pipe mode, when the follows
+/// finish, never while a front door listens (either door may be
+/// absent; a pipe-mode or `--follow`-only server has none).
+fn serve(
     config: SessionConfig,
     preload: Vec<(String, Snapshot)>,
     resumes: Vec<(dna_io::Checkpoint, Snapshot)>,
     follows: Vec<(Option<String>, String)>,
-    doors: FrontDoors<'_>,
-    per_session: bool,
+    socket: Option<&str>,
+    listen: Option<&str>,
 ) -> Result<ExitCode, String> {
-    use std::sync::mpsc;
-    let FrontDoors { socket, listen } = doors;
-    // The view registry backing the TCP read path. Attached to the
-    // router only when a TCP front door is requested — without
-    // readers, publishing a view per epoch would be pure overhead.
-    let views = std::sync::Arc::new(dna_serve::ViewRegistry::new());
-    // The notify hub backing pushed standing-query deltas. Like the
-    // views, only attached when TCP clients can actually watch.
-    let hub = std::sync::Arc::new(dna_serve::NotifyHub::new());
+    use std::sync::{mpsc, Arc};
+    #[cfg(not(unix))]
+    if socket.is_some() {
+        return Err("--socket requires a unix platform".into());
+    }
+    // The view registry backing the TCP read path and the notify hub
+    // backing pushed standing-query deltas. Attached to the router only
+    // when a TCP front door is requested — without readers or
+    // watchers, publishing per epoch would be pure overhead.
+    let views = Arc::new(dna_serve::ViewRegistry::new());
+    let hub = Arc::new(dna_serve::NotifyHub::new());
     // Engine bring-up happens BEFORE the socket exists or any pump
     // starts: a bad snapshot must fail the process while it is still
     // invisible to clients, not after they can connect.
-    enum Engine {
-        Router(dna_serve::Router),
-        Broker(SessionManager),
+    let mut router = dna_serve::Router::new(config);
+    if listen.is_some() {
+        router = router
+            .with_views(Arc::clone(&views))
+            .with_notify_hub(Arc::clone(&hub));
     }
-    let engine = if per_session {
-        let mut router = dna_serve::Router::new(config);
-        if listen.is_some() {
-            router = router
-                .with_views(std::sync::Arc::clone(&views))
-                .with_notify_hub(std::sync::Arc::clone(&hub));
-        }
-        let loaded: Vec<(String, usize)> = preload
-            .iter()
-            .map(|(n, s)| (n.clone(), s.device_count()))
-            .collect();
-        let resumed: Vec<(String, u64, usize)> = resumes
-            .iter()
-            .map(|(c, s)| (c.session.clone(), c.epochs, s.device_count()))
-            .collect();
-        router.preload(preload)?;
-        // All checkpointed sessions come back concurrently — one
-        // engine thread each, max-of-resumes wall-clock.
-        router.preload_checkpoints(resumes)?;
-        for (name, devices) in loaded {
-            dna_obs::log::info(&format!(
-                "dna serve: session {name:?} loaded ({devices} devices)"
-            ));
-        }
-        for (name, epochs, devices) in resumed {
-            dna_obs::log::info(&format!(
-                "dna serve: session {name:?} resumed at epoch {epochs} ({devices} devices)"
-            ));
-        }
-        Engine::Router(router)
-    } else {
-        let mut mgr = open_preloaded(config, preload, resumes)?;
-        if listen.is_some() {
-            mgr.set_notify_hub(std::sync::Arc::clone(&hub));
-        }
-        Engine::Broker(mgr)
-    };
-    let listener = match socket {
-        None => None,
-        Some(path) => {
-            let sock = std::path::Path::new(path);
-            if sock.exists() {
-                // Only reclaim the path from a DEAD server: a connectable
-                // socket means another instance is live, and deleting its
-                // socket would silently divert that server's clients here.
-                if std::os::unix::net::UnixStream::connect(sock).is_ok() {
-                    return Err(format!("{path} is already served by a running instance"));
-                }
-                std::fs::remove_file(sock)
-                    .map_err(|e| format!("cannot replace stale socket {path}: {e}"))?;
-            }
-            Some(
-                std::os::unix::net::UnixListener::bind(sock)
-                    .map_err(|e| format!("cannot bind {path}: {e}"))?,
-            )
-        }
-    };
+    let loaded: Vec<(String, usize)> = preload
+        .iter()
+        .map(|(n, s)| (n.clone(), s.device_count()))
+        .collect();
+    let resumed: Vec<(String, u64, usize)> = resumes
+        .iter()
+        .map(|(c, s)| (c.session.clone(), c.epochs, s.device_count()))
+        .collect();
+    router.preload(preload)?;
+    // All checkpointed sessions come back concurrently — one engine
+    // thread each, max-of-resumes wall-clock.
+    router.preload_checkpoints(resumes)?;
+    for (name, devices) in loaded {
+        dna_obs::log::info(&format!(
+            "dna serve: session {name:?} loaded ({devices} devices)"
+        ));
+    }
+    for (name, epochs, devices) in resumed {
+        dna_obs::log::info(&format!(
+            "dna serve: session {name:?} resumed at epoch {epochs} ({devices} devices)"
+        ));
+    }
+    #[cfg(unix)]
+    let unix_listener = socket.map(bind_unix_socket).transpose()?;
     let (tx, rx) = mpsc::channel();
     let stdin_tx = tx.clone();
     std::thread::spawn(move || {
         let stdin = std::io::stdin();
         let stdout = std::io::stdout();
-        let _ = dna_serve::pump_stream(&stdin_tx, &mut stdin.lock(), &mut stdout.lock());
+        if let Err(e) = dna_serve::pump_stream(&stdin_tx, &mut stdin.lock(), &mut stdout.lock()) {
+            dna_obs::log::announce(&format!("dna serve: stdin: {e}"));
+        }
         // Dropping stdin's sender leaves the other pumps' alive: the
         // server keeps serving them after stdin ends.
     });
@@ -1083,7 +989,8 @@ fn serve_channels(
             }
         });
     }
-    if let Some(listener) = listener {
+    #[cfg(unix)]
+    if let Some(listener) = unix_listener {
         let accept_tx = tx.clone();
         std::thread::spawn(move || {
             let _ = dna_serve::accept_loop(accept_tx, listener);
@@ -1103,31 +1010,34 @@ fn serve_channels(
         // only way a client (or a test harness) learns the port.
         dna_obs::log::announce(&format!("dna serve: listening on tcp {local}"));
         let accept_tx = tx.clone();
-        let views = std::sync::Arc::clone(&views);
-        let hub = std::sync::Arc::clone(&hub);
+        let views = Arc::clone(&views);
+        let hub = Arc::clone(&hub);
         std::thread::spawn(move || {
             let _ = dna_serve::tcp_accept_loop(accept_tx, listener, views, hub);
         });
     }
     drop(tx);
-    let summary = match engine {
-        Engine::Router(router) => router.run(rx),
-        Engine::Broker(mut mgr) => dna_serve::run_broker(&mut mgr, rx),
-    };
-    print_summary(&summary);
+    print_summary(&router.run(rx));
     Ok(ExitCode::SUCCESS)
 }
 
-#[cfg(not(unix))]
-fn serve_channels(
-    _config: SessionConfig,
-    _preload: Vec<(String, Snapshot)>,
-    _resumes: Vec<(dna_io::Checkpoint, Snapshot)>,
-    _follows: Vec<(Option<String>, String)>,
-    _doors: FrontDoors<'_>,
-    _per_session: bool,
-) -> Result<ExitCode, String> {
-    Err("--socket/--listen/--follow require a unix platform".into())
+/// Binds the `--socket` unix listener. Unix sockets stay next to TCP
+/// for one property loopback TCP cannot give: access control through
+/// filesystem permissions on the socket path.
+#[cfg(unix)]
+fn bind_unix_socket(path: &str) -> Result<std::os::unix::net::UnixListener, String> {
+    let sock = std::path::Path::new(path);
+    if sock.exists() {
+        // Only reclaim the path from a DEAD server: a connectable
+        // socket means another instance is live, and deleting its
+        // socket would silently divert that server's clients here.
+        if std::os::unix::net::UnixStream::connect(sock).is_ok() {
+            return Err(format!("{path} is already served by a running instance"));
+        }
+        std::fs::remove_file(sock)
+            .map_err(|e| format!("cannot replace stale socket {path}: {e}"))?;
+    }
+    std::os::unix::net::UnixListener::bind(sock).map_err(|e| format!("cannot bind {path}: {e}"))
 }
 
 // ---- query ------------------------------------------------------------

@@ -742,3 +742,73 @@ fn follow_ingests_two_growing_traces_concurrently() {
         std::panic::resume_unwind(e);
     }
 }
+
+/// Pipe mode runs through the same router as every other transport, so
+/// the panic fence and `DNA_SERVE_FAULT_LABEL` cover it too: a
+/// fault-injected epoch fences the session, `sessions` and `health`
+/// report it `failed` while the server stays `ok`, and the process
+/// still exits cleanly at end of input.
+#[test]
+fn pipe_mode_fences_a_panicked_session() {
+    let corpus = concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/corpus");
+    let input = format!(
+        "{}{}{}",
+        std::fs::read_to_string(format!("{corpus}/ft4_failures.trace.dna")).expect("corpus trace"),
+        dna_ok(&["query", "sessions"]),
+        dna_ok(&["query", "health"]),
+    );
+    let mut server = Command::new(DNA)
+        .args([
+            "serve",
+            &format!("s={corpus}/ft4_failures.snap.dna"),
+            "--quiet",
+        ])
+        .env("DNA_SERVE_FAULT_LABEL", "link-failure")
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("server starts");
+    server
+        .stdin
+        .take()
+        .expect("piped stdin")
+        .write_all(input.as_bytes())
+        .expect("input written");
+    let out = server.wait_with_output().expect("server exits");
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "fenced session must not fail the server"
+    );
+    let mut replies = std::io::Cursor::new(out.stdout);
+    let mut next = || {
+        dna_serve::read_artifact(&mut replies)
+            .expect("framed")
+            .expect("one reply per artifact")
+    };
+    match dna_io::parse_response(&next()).expect("ingest reply parses") {
+        dna_io::Response::Error(msg) => {
+            assert!(msg.contains("session \"s\" failed"), "{msg}")
+        }
+        other => panic!("the fault must fence the ingest, got {other:?}"),
+    }
+    match dna_io::parse_response(&next()).expect("sessions reply parses") {
+        dna_io::Response::Sessions(list) => {
+            let flags: Vec<_> = list.iter().map(|s| (s.name.as_str(), s.failed)).collect();
+            assert_eq!(flags, [("s", true)]);
+        }
+        other => panic!("expected sessions, got {other:?}"),
+    }
+    let health = dna_io::parse_health(&next()).expect("health reply parses");
+    assert_eq!(health.server, dna_io::HealthStatus::Ok);
+    let row = health
+        .sessions
+        .iter()
+        .find(|s| s.name == "s")
+        .expect("fenced session listed");
+    assert_eq!(
+        (row.status, row.reason.as_deref()),
+        (dna_io::HealthStatus::Failed, Some("panic"))
+    );
+}

@@ -153,8 +153,9 @@ impl SpanRecorder {
 /// [`EpochSpan`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct QuerySpan {
-    /// Answer path: `"tcp"` (published-view fast path), `"broker"`
-    /// (engine thread) or `"pipe"` (single-stream loop).
+    /// Answer path: `"tcp"` (published-view fast path) or `"broker"`
+    /// (the router or a session engine thread, whichever transport the
+    /// query came in on).
     pub transport: &'static str,
     /// Target session, when the query named (or resolved to) one.
     pub session: Option<String>,
@@ -324,7 +325,7 @@ mod tests {
     #[test]
     fn query_ring_bounds_and_filters() {
         let rec = QuerySpanRecorder::new(3);
-        rec.record(qspan("pipe", Some("a"), 10));
+        rec.record(qspan("broker", Some("a"), 10));
         rec.record(qspan("tcp", Some("b"), 20));
         rec.record(qspan("tcp", Some("a"), 30));
         rec.record(qspan("broker", None, 40));

@@ -11,16 +11,17 @@
 //!
 //! Layers:
 //!
-//! * [`session`] — [`Session`] (one live analysis: engine + optional
-//!   from-scratch verification shadow + bounded epoch history) and
-//!   [`SessionManager`] (named sessions, one per loaded snapshot);
-//! * [`server`] — artifact framing, the single-threaded serve loop over
-//!   any `BufRead`/`Write` pair (stdio pipes), the broker request type,
-//!   a unix-socket front-end, and file-tail ingest ([`follow_trace`]);
-//! * [`router`] — one engine thread *per session* behind the broker
-//!   seam: parallel session bring-up and concurrent multi-session
-//!   ingest with interleaved queries (the engine stays thread-local —
-//!   each session's engine lives and dies on its own thread);
+//! * [`session`] — [`Session`]: one live analysis (engine + optional
+//!   from-scratch verification shadow + bounded epoch history);
+//! * [`server`] — artifact framing, the [`Request`] every transport
+//!   sends, the stream pump behind stdin and unix-socket clients, and
+//!   file-tail ingest ([`follow_trace`]);
+//! * [`router`] — the one engine-side dispatcher: one engine thread
+//!   *per session*, each command inside a panic fence, with parallel
+//!   session bring-up and concurrent multi-session ingest with
+//!   interleaved queries (the engine stays thread-local — each
+//!   session's engine lives and dies on its own thread). Every
+//!   transport pumps into it;
 //! * [`view`] — the published-snapshot read path: after every applied
 //!   epoch a session publishes an immutable [`QueryView`] behind an
 //!   atomic version counter, so reader threads answer read-only
@@ -54,17 +55,13 @@ pub mod subs;
 pub mod view;
 
 pub use net::{query_tcp, tcp_accept_loop};
-pub use obs::{obs_reply, obs_reply_for};
+pub use obs::obs_reply_for;
 pub use router::{route_stream, Router};
 #[cfg(unix)]
 pub use server::{accept_loop, query_socket};
-pub use server::{
-    follow_trace, handle_artifact, pump_stream, pump_stream_as, read_artifact, run_broker,
-    serve_stream, subscription_reply, Request, ServeSummary,
-};
+pub use server::{follow_trace, pump_stream, pump_stream_as, read_artifact, Request, ServeSummary};
 pub use session::{
     checkpoint_file_name, coalesced_label, resolve_checkpoint_snapshot, Session, SessionConfig,
-    SessionManager,
 };
 pub use subs::NotifyHub;
 pub use view::{QueryView, ViewReader, ViewRegistry, ViewSlot};

@@ -2,14 +2,12 @@
 //!
 //! `metrics` and `trace` are **server-level** queries like `sessions` —
 //! they read the process-global [`dna_obs`] registry and span ring, not
-//! any one session's engine state, so every transport answers them
-//! without an engine-thread round trip: the single-stream loop
-//! ([`crate::serve_stream`]), the broker ([`crate::run_broker`]), the
-//! router, and the TCP connection threads ([`crate::net`]) all call
-//! [`obs_reply`] / [`obs_reply_for`] before normal dispatch. Because
-//! every path funnels through this one module, the engine path and the
-//! view path produce byte-identical artifacts for the same registry
-//! state.
+//! any one session's engine state, so they are answered without an
+//! engine-thread round trip: the router thread (for every transport
+//! that pumps into it) and the TCP connection threads ([`crate::net`])
+//! both call [`obs_reply_for`] before normal dispatch. Because both
+//! paths funnel through this one function, they produce byte-identical
+//! artifacts for the same registry state.
 //!
 //! A `session` line on the query narrows the scrape to that session's
 //! labeled series (process-wide series are always kept) — an unknown
@@ -53,24 +51,9 @@ pub fn obs_reply_for(q: &Query) -> Option<String> {
     }
 }
 
-/// Sniffs raw artifact text and answers it if it is a telemetry query;
-/// `None` otherwise (including malformed text — the normal dispatch
-/// path owns every error story, so wire behavior is unchanged for
-/// anything this module does not answer).
-pub fn obs_reply(text: &str) -> Option<String> {
-    let (_, kind) = dna_io::sniff(text).ok()?;
-    if kind != Artifact::Query {
-        return None;
-    }
-    obs_reply_for(&dna_io::parse_query(text).ok()?)
-}
-
-/// Records one answered query into the query plane: a
-/// `query_latency_us` observation labeled with the answer path
-/// (`tcp`/`broker`/`pipe` in the scope slot) plus a [`dna_obs::QuerySpan`]
-/// in the slow-query ring. Takes the raw artifact text — non-queries
-/// (and unparseable text) no-op, so transports can call it
-/// unconditionally after answering.
+/// [`record_query`] over raw artifact text — non-queries (and
+/// unparseable text) no-op, so a transport can call it unconditionally
+/// after answering.
 pub(crate) fn record_query_span(transport: &'static str, text: &str, elapsed: std::time::Duration) {
     let Ok((_, kind)) = dna_io::sniff(text) else {
         return;
@@ -78,16 +61,23 @@ pub(crate) fn record_query_span(transport: &'static str, text: &str, elapsed: st
     if kind != Artifact::Query {
         return;
     }
-    let Ok(q) = dna_io::parse_query(text) else {
-        return;
-    };
+    if let Ok(q) = dna_io::parse_query(text) {
+        record_query(transport, &q, elapsed);
+    }
+}
+
+/// Records one answered query into the query plane: a
+/// `query_latency_us` observation labeled with the answer path (`tcp`
+/// or `broker` in the scope slot) plus a [`dna_obs::QuerySpan`] in the
+/// slow-query ring.
+pub(crate) fn record_query(transport: &'static str, q: &Query, elapsed: std::time::Duration) {
     let total_ns = elapsed.as_nanos().min(u64::MAX as u128) as u64;
     dna_obs::global()
         .histogram_for("query_latency_us", transport)
         .observe_ns(total_ns);
     dna_obs::query_spans().record(dna_obs::QuerySpan {
         transport,
-        session: q.session,
+        session: q.session.clone(),
         kind: q.kind.name(),
         total_ns,
     });
@@ -434,36 +424,27 @@ mod tests {
         assert_eq!(write_health(&back), text, "canonical");
     }
 
+    fn query(kind: QueryKind) -> Query {
+        Query {
+            session: None,
+            kind,
+        }
+    }
+
     #[test]
     fn health_and_history_answered_at_the_transport() {
-        let health = dna_io::write_query(&Query {
-            session: None,
-            kind: QueryKind::Health,
-        });
-        let reply = obs_reply(&health).expect("telemetry query answered");
+        let reply = obs_reply_for(&query(QueryKind::Health)).expect("telemetry query answered");
         assert!(dna_io::parse_health(&reply).is_ok(), "{reply}");
-        let history = dna_io::write_query(&Query {
-            session: None,
-            kind: QueryKind::History { last: Some(4) },
-        });
-        let reply = obs_reply(&history).expect("telemetry query answered");
+        let reply = obs_reply_for(&query(QueryKind::History { last: Some(4) }))
+            .expect("telemetry query answered");
         assert!(dna_io::parse_history(&reply).is_ok(), "{reply}");
     }
 
     #[test]
     fn non_telemetry_artifacts_pass_through() {
-        assert!(obs_reply("garbage").is_none());
-        assert!(obs_reply("dna-io v1 trace\nend\n").is_none());
-        let stats = dna_io::write_query(&Query {
-            session: None,
-            kind: QueryKind::Stats,
-        });
-        assert!(obs_reply(&stats).is_none());
-        let metrics = dna_io::write_query(&Query {
-            session: None,
-            kind: QueryKind::Metrics,
-        });
-        let reply = obs_reply(&metrics).expect("telemetry query answered");
+        assert!(obs_reply_for(&query(QueryKind::Stats)).is_none());
+        assert!(obs_reply_for(&query(QueryKind::Sessions)).is_none());
+        let reply = obs_reply_for(&query(QueryKind::Metrics)).expect("telemetry query answered");
         assert!(dna_io::parse_metrics(&reply).is_ok(), "{reply}");
     }
 }

@@ -1,26 +1,28 @@
-//! Per-session engine threads behind the broker seam.
+//! The one engine-side dispatcher of `dna serve`: per-session engine
+//! threads behind a request channel.
 //!
-//! The dataflow engine is thread-local by design, so PR 3's broker ran
-//! *every* session on one engine thread — two sessions could never
-//! ingest concurrently. The router keeps the same outside contract
-//! (requests are raw artifact text plus a reply channel — see
-//! [`crate::server::Request`]) but gives each session its own engine
-//! thread: the router thread only parses and routes; session threads
-//! own their [`Session`] (engine state never crosses threads) and send
+//! Every transport — stdin, a followed trace file, unix-socket and TCP
+//! connections — pumps raw artifact text plus a reply channel (see
+//! [`crate::server::Request`]) into the router. The router thread only
+//! sniffs and routes; each session runs on its own engine thread, which
+//! owns its [`Session`] (engine state never crosses threads) and sends
 //! serialized responses straight to the requesting client. Two clients
 //! ingesting into different sessions therefore run truly in parallel,
 //! with queries interleaving against both, while per-session ordering
 //! is preserved by each session's command channel. Session bring-up
 //! (the expensive initial analysis) also parallelizes: opening N
 //! sessions at startup runs N engine initializations concurrently.
+//!
+//! Because every mode routes through here, the panic fence and the
+//! `DNA_SERVE_FAULT_LABEL` hook cover every mode, pipe mode included.
 
 use crate::server::{Request, ServeSummary};
 use crate::session::{Session, SessionConfig};
 use crate::subs::NotifyHub;
 use crate::view::{ViewRegistry, ViewSlot};
 use dna_io::{
-    parse_query, parse_snapshot, parse_trace, write_response, Artifact, Checkpoint, QueryKind,
-    Response, SessionInfo,
+    parse_query, parse_snapshot, parse_trace, write_response, Artifact, Checkpoint, Query,
+    QueryKind, Response, SessionInfo,
 };
 use net_model::Snapshot;
 use std::collections::BTreeMap;
@@ -147,17 +149,31 @@ impl SessionThread {
     }
 }
 
-fn spawn_session(
+/// Everything a session thread's commands run against besides the
+/// session itself: its name, its policy, the info cell it shares with
+/// the router, and the read-view slot and notify hub each (re)opened
+/// session is attached to — present only when the router has them
+/// (the TCP front door).
+struct SessionCtx {
     name: String,
     config: SessionConfig,
+    info: Arc<Mutex<Option<SessionInfo>>>,
     view: Option<Arc<ViewSlot>>,
     hub: Option<Arc<NotifyHub>>,
-) -> SessionThread {
+}
+
+impl SessionCtx {
+    /// The error every command gets once the panic fence has tripped.
+    fn failed(&self, reason: &str) -> Response {
+        Response::Error(format!("session {:?} failed: {reason}", self.name))
+    }
+}
+
+fn spawn_session(ctx: SessionCtx) -> SessionThread {
     let (tx, rx) = mpsc::channel::<SessionCmd>();
-    let info = Arc::new(Mutex::new(None));
-    let shared = Arc::clone(&info);
-    let acct = dna_obs::SessionAccounting::register(dna_obs::global(), &name);
-    let join = std::thread::spawn(move || session_loop(name, config, rx, &shared, view, hub));
+    let info = Arc::clone(&ctx.info);
+    let acct = dna_obs::SessionAccounting::register(dna_obs::global(), &ctx.name);
+    let join = std::thread::spawn(move || session_loop(ctx, rx));
     SessionThread {
         tx,
         info,
@@ -166,58 +182,27 @@ fn spawn_session(
     }
 }
 
-/// (Re)opens `slot` over a snapshot; a failed open keeps the previous
-/// session (mirroring `SessionManager::open` semantics on reload).
-fn open_session(
-    name: &str,
-    config: SessionConfig,
-    view: Option<&Arc<ViewSlot>>,
-    hub: Option<&Arc<NotifyHub>>,
+/// (Re)opens `slot` with a session brought up from `snapshot` by
+/// `open` (a fresh open or a checkpoint resume), attached to the
+/// context's view and hub. A failed bring-up keeps the previous
+/// session: a bad reload never costs the state already serving.
+fn bring_up(
+    ctx: &SessionCtx,
     slot: &mut Option<Session>,
     snapshot: Snapshot,
+    open: impl FnOnce(Snapshot) -> Result<Session, String>,
 ) -> Response {
     let devices = snapshot.device_count() as u64;
     let links = snapshot.links.len() as u64;
-    match Session::open(name, snapshot, config) {
+    match open(snapshot) {
         Ok(mut s) => {
-            if let Some(view) = view {
+            if let Some(view) = &ctx.view {
                 s.set_view_slot(Arc::clone(view));
             }
-            if let Some(hub) = hub {
+            if let Some(hub) = &ctx.hub {
                 s.set_notify_hub(Arc::clone(hub));
             }
-            *slot = Some(s);
-            Response::Loaded {
-                session: name.to_string(),
-                devices,
-                links,
-            }
-        }
-        Err(e) => Response::Error(e),
-    }
-}
-
-/// (Re)opens `slot` by resuming a checkpoint; a failed resume keeps
-/// the previous session, mirroring [`open_session`].
-fn resume_session(
-    config: &SessionConfig,
-    view: Option<&Arc<ViewSlot>>,
-    hub: Option<&Arc<NotifyHub>>,
-    slot: &mut Option<Session>,
-    ckpt: &Checkpoint,
-    snapshot: Snapshot,
-) -> Response {
-    let devices = snapshot.device_count() as u64;
-    let links = snapshot.links.len() as u64;
-    match Session::resume(ckpt, snapshot, config) {
-        Ok(mut s) => {
             let session = s.name().to_string();
-            if let Some(view) = view {
-                s.set_view_slot(Arc::clone(view));
-            }
-            if let Some(hub) = hub {
-                s.set_notify_hub(Arc::clone(hub));
-            }
             *slot = Some(s);
             Response::Loaded {
                 session,
@@ -235,20 +220,11 @@ fn resume_session(
 /// are summed at shutdown.
 ///
 /// Every command runs inside a panic fence: if the engine panics, the
-/// session is marked **failed** — its state is dropped (half-mutated
-/// state must never answer again), its published view is withdrawn,
-/// the `sessions` listing carries a `failed` marker — and this loop
-/// keeps answering, with errors, so one wedged session never takes
-/// the server (or even this session's own clients) down with it. A
-/// later snapshot load or checkpoint resume lifts the fence.
-fn session_loop(
-    name: String,
-    config: SessionConfig,
-    rx: mpsc::Receiver<SessionCmd>,
-    info: &Mutex<Option<SessionInfo>>,
-    view: Option<Arc<ViewSlot>>,
-    hub: Option<Arc<NotifyHub>>,
-) -> ServeSummary {
+/// session is marked **failed** (see [`fence`]) and this loop keeps
+/// answering, with errors, so one wedged session never takes the
+/// server (or even this session's own clients) down with it. A later
+/// snapshot load or checkpoint resume lifts the fence.
+fn session_loop(ctx: SessionCtx, rx: mpsc::Receiver<SessionCmd>) -> ServeSummary {
     let mut session: Option<Session> = None;
     let mut summary = ServeSummary::default();
     let mut failed: Option<String> = None;
@@ -257,7 +233,7 @@ fn session_loop(
     // it — the health query's session list is exactly the sessions
     // whose engine loop is alive.
     let registry = dna_obs::global();
-    let acct = dna_obs::SessionAccounting::register(registry, &name);
+    let acct = dna_obs::SessionAccounting::register(registry, &ctx.name);
     // Engine-path query latency, labeled by answer path (the scope
     // slot carries the transport, not a session — see `crate::obs`).
     let query_latency = registry.histogram_for("query_latency_us", "broker");
@@ -294,7 +270,7 @@ fn session_loop(
         }
         if let Some(reason) = &failed {
             acct.epochs_behind.sub(epochs_hint);
-            let response = Response::Error(format!("session {name:?} failed: {reason}"));
+            let response = ctx.failed(reason);
             summary.count(&response, 0);
             let _ = reply.send(write_response(&response));
             continue;
@@ -308,7 +284,7 @@ fn session_loop(
         // drained artifact still gets its own reply. A lone ingest with
         // an empty queue takes the per-epoch path below — coalescing
         // never touches a shallow queue.
-        if config.coalesce >= 2 && matches!(work, SessionWork::IngestText(_)) {
+        if ctx.config.coalesce >= 2 && matches!(work, SessionWork::IngestText(_)) {
             let mut extras: Vec<(String, mpsc::Sender<String>, u64)> = Vec::new();
             // Bounded drain: drained artifacts' replies are withheld
             // until the whole batch commits, so one drain must not
@@ -344,49 +320,26 @@ fn session_loop(
                     replies.push((reply, hint));
                 }
                 let outcome = catch_unwind(AssertUnwindSafe(|| {
-                    apply_ingest_batch(&name, &config, &mut session, &texts)
+                    apply_ingest_batch(&ctx.name, &ctx.config, &mut session, &texts)
                 }));
                 for (_, hint) in &replies {
                     acct.epochs_behind.sub(*hint);
                 }
                 match outcome {
                     Ok(results) => {
-                        *lock_info(info) = session.as_ref().map(Session::info);
+                        *lock_info(&ctx.info) = session.as_ref().map(Session::info);
                         for ((response, epochs), (reply, _)) in results.into_iter().zip(&replies) {
                             summary.count(&response, epochs);
                             let _ = reply.send(write_response(&response));
                         }
                     }
-                    // The same fence as the single-command path below,
-                    // except every client in the drained batch gets the
+                    // Every client in the drained batch gets the
                     // failure answer — none may be left hanging.
                     Err(payload) => {
+                        let waiting: Vec<_> = replies.iter().map(|(reply, _)| reply).collect();
                         let reason = panic_reason(payload.as_ref());
-                        session = None;
-                        if let Some(view) = &view {
-                            view.clear();
-                            registry.counter_for("view_withdrawals", &name).inc();
-                        }
-                        let mut guard = lock_info(info);
-                        let last = guard.take();
-                        *guard = Some(SessionInfo {
-                            name: name.clone(),
-                            epochs: last.as_ref().map_or(0, |i| i.epochs),
-                            devices: last.as_ref().map_or(0, |i| i.devices),
-                            verify: config.verify,
-                            failed: true,
-                        });
-                        drop(guard);
-                        summary.failures += 1;
-                        failed = Some(reason.clone());
-                        acct.failed.set(1);
-                        let response =
-                            Response::Error(format!("session {name:?} failed: {reason}"));
-                        let text = write_response(&response);
-                        for (reply, _) in &replies {
-                            summary.count(&response, 0);
-                            let _ = reply.send(text.clone());
-                        }
+                        fence(&ctx, &mut session, &acct, &mut summary, &reason, &waiting);
+                        failed = Some(reason);
                     }
                 }
                 continue;
@@ -397,16 +350,7 @@ fn session_loop(
             _ => None,
         };
         let started = std::time::Instant::now();
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            apply(
-                &name,
-                &config,
-                view.as_ref(),
-                hub.as_ref(),
-                &mut session,
-                work,
-            )
-        }));
+        let outcome = catch_unwind(AssertUnwindSafe(|| apply(&ctx, &mut session, work)));
         // The enqueue-side hint comes off however the work ended —
         // applied, failed mid-trace, or panicked — so `epochs_behind`
         // can never leak.
@@ -415,30 +359,8 @@ fn session_loop(
             Ok(out) => out,
             Err(payload) => {
                 let reason = panic_reason(payload.as_ref());
-                session = None;
-                if let Some(view) = &view {
-                    view.clear();
-                    registry.counter_for("view_withdrawals", &name).inc();
-                }
-                // Keep the session listed — operators must see the
-                // wreck — but flagged, with the last known counters.
-                let mut guard = lock_info(info);
-                let last = guard.take();
-                *guard = Some(SessionInfo {
-                    name: name.clone(),
-                    epochs: last.as_ref().map_or(0, |i| i.epochs),
-                    devices: last.as_ref().map_or(0, |i| i.devices),
-                    verify: config.verify,
-                    failed: true,
-                });
-                drop(guard);
-                summary.failures += 1;
-                failed = Some(reason.clone());
-                // The health query reads the fence off this gauge.
-                acct.failed.set(1);
-                let response = Response::Error(format!("session {name:?} failed: {reason}"));
-                summary.count(&response, 0);
-                let _ = reply.send(write_response(&response));
+                fence(&ctx, &mut session, &acct, &mut summary, &reason, &[&reply]);
+                failed = Some(reason);
                 continue;
             }
         };
@@ -447,7 +369,7 @@ fn session_loop(
             query_latency.observe_ns(total_ns);
             dna_obs::query_spans().record(dna_obs::QuerySpan {
                 transport: "broker",
-                session: Some(name.clone()),
+                session: Some(ctx.name.clone()),
                 kind,
                 total_ns,
             });
@@ -455,7 +377,7 @@ fn session_loop(
         // Publish the refreshed info line BEFORE acknowledging: once a
         // client holds our reply, a `sessions` listing must already
         // reflect the command it acknowledges.
-        *lock_info(info) = session.as_ref().map(Session::info);
+        *lock_info(&ctx.info) = session.as_ref().map(Session::info);
         match reply_body {
             Reply::Response(response) => {
                 summary.count(&response, epochs);
@@ -473,38 +395,65 @@ fn session_loop(
     summary
 }
 
+/// The panic fence's failure path, shared by the single-command and
+/// coalesced-batch paths. Half-mutated state must never answer again,
+/// so the session is dropped and its published view withdrawn. It
+/// stays listed — operators must see the wreck — but flagged `failed`
+/// with its last known counters, and the health query reads the fence
+/// off the `session_failed` gauge. Every client waiting on the
+/// panicked work gets the failure answer.
+fn fence(
+    ctx: &SessionCtx,
+    session: &mut Option<Session>,
+    acct: &dna_obs::SessionAccounting,
+    summary: &mut ServeSummary,
+    reason: &str,
+    waiting: &[&mpsc::Sender<String>],
+) {
+    *session = None;
+    if let Some(view) = &ctx.view {
+        view.clear();
+        dna_obs::global()
+            .counter_for("view_withdrawals", &ctx.name)
+            .inc();
+    }
+    let mut guard = lock_info(&ctx.info);
+    let last = guard.take();
+    *guard = Some(SessionInfo {
+        name: ctx.name.clone(),
+        epochs: last.as_ref().map_or(0, |i| i.epochs),
+        devices: last.as_ref().map_or(0, |i| i.devices),
+        verify: ctx.config.verify,
+        failed: true,
+    });
+    drop(guard);
+    summary.failures += 1;
+    acct.failed.set(1);
+    let response = ctx.failed(reason);
+    let text = write_response(&response);
+    for reply in waiting {
+        summary.count(&response, 0);
+        let _ = reply.send(text.clone());
+    }
+}
+
 /// Applies one command payload to the session slot (the code inside
 /// the panic fence). Returns the reply plus epochs applied.
-fn apply(
-    name: &str,
-    config: &SessionConfig,
-    view: Option<&Arc<ViewSlot>>,
-    hub: Option<&Arc<NotifyHub>>,
-    session: &mut Option<Session>,
-    work: SessionWork,
-) -> (Reply, u64) {
+fn apply(ctx: &SessionCtx, session: &mut Option<Session>, work: SessionWork) -> (Reply, u64) {
+    let name = ctx.name.as_str();
+    let open = |snapshot: Snapshot| Session::open(name, snapshot, ctx.config.clone());
     match work {
-        SessionWork::Load(snapshot) => (
-            Reply::Response(open_session(
-                name,
-                config.clone(),
-                view,
-                hub,
-                session,
-                *snapshot,
-            )),
-            0,
-        ),
+        SessionWork::Load(snapshot) => {
+            (Reply::Response(bring_up(ctx, session, *snapshot, open)), 0)
+        }
         SessionWork::Resume(boxed) => {
             let (ckpt, snapshot) = *boxed;
-            (
-                Reply::Response(resume_session(config, view, hub, session, &ckpt, snapshot)),
-                0,
-            )
+            let resume = |snapshot: Snapshot| Session::resume(&ckpt, snapshot, &ctx.config);
+            (Reply::Response(bring_up(ctx, session, snapshot, resume)), 0)
         }
         SessionWork::LoadText(text) => {
             let response = match parse_snapshot(&text) {
-                Ok(snapshot) => open_session(name, config.clone(), view, hub, session, snapshot),
+                Ok(snapshot) => bring_up(ctx, session, snapshot, open),
                 Err(e) => Response::Error(e.to_string()),
             };
             (Reply::Response(response), 0)
@@ -717,9 +666,8 @@ fn apply_ingest_batch(
 /// trace epoch whose scenario label equals the variable's value panics
 /// the engine thread — inside the panic fence, so what CI (and an
 /// operator rehearsing an incident) gets is the real failure path:
-/// session fenced and `failed` in health, server still serving. Only
-/// the router path checks it; the fence lives here, not in the
-/// single-threaded transports.
+/// session fenced and `failed` in health, server still serving. Every
+/// transport routes through here, so the hook works in every mode.
 fn fault_check(trace: &dna_io::Trace) {
     let Ok(label) = std::env::var("DNA_SERVE_FAULT_LABEL") else {
         return;
@@ -753,6 +701,10 @@ pub struct Router {
     sessions: BTreeMap<String, SessionThread>,
     default: Option<String>,
     summary: ServeSummary,
+    /// Bring-ups run by [`Router::preload`] / [`Router::preload_checkpoints`].
+    /// Session threads count them like any load, but they are startup
+    /// work, not served artifacts, so [`Router::run`] leaves them out.
+    preloaded: u64,
     /// When attached (the TCP front door), every session thread gets a
     /// [`ViewSlot`] from this registry and publishes a read view after
     /// each applied epoch; reader threads resolve slots through the
@@ -771,6 +723,7 @@ impl Router {
             sessions: BTreeMap::new(),
             default: None,
             summary: ServeSummary::default(),
+            preloaded: 0,
             views: None,
             hub: None,
         }
@@ -826,12 +779,16 @@ impl Router {
     /// The named session's thread, spawned (with its view slot, when a
     /// registry is attached) if it does not exist yet.
     fn thread_entry(&mut self, name: &str) -> &SessionThread {
-        let config = self.config.clone();
-        let view = self.views.as_ref().map(|v| v.slot(name));
-        let hub = self.hub.clone();
+        let ctx = SessionCtx {
+            name: name.to_string(),
+            config: self.config.clone(),
+            info: Arc::new(Mutex::new(None)),
+            view: self.views.as_ref().map(|v| v.slot(name)),
+            hub: self.hub.clone(),
+        };
         self.sessions
             .entry(name.to_string())
-            .or_insert_with(|| spawn_session(name.to_string(), config, view, hub))
+            .or_insert_with(|| spawn_session(ctx))
     }
 
     /// Records the default stream target, mirroring it into the view
@@ -875,7 +832,10 @@ impl Router {
                     self.remove(&name);
                     return Err(e);
                 }
-                Ok(_) => loaded.push(text),
+                Ok(_) => {
+                    self.preloaded += 1;
+                    loaded.push(text);
+                }
                 Err(e) => return Err(format!("session {name:?}: malformed load reply: {e}")),
             }
         }
@@ -915,38 +875,15 @@ impl Router {
                     .or(self.default.as_deref())
                     .unwrap_or("main")
                     .to_string();
-                let sent = self
-                    .thread_entry(&name)
-                    .send(SessionWork::LoadText(req.text), req.reply);
-                if let Err(mpsc::SendError(cmd)) = sent {
-                    // The thread is gone; answer from here so the
-                    // client is never left hanging on a dead channel.
-                    let msg = format!("session {name:?}: engine thread is gone");
-                    self.answer(&cmd.reply, Response::Error(msg));
-                }
-                if self.default.is_none() {
-                    self.set_default(Some(name));
-                }
+                self.load(name, SessionWork::LoadText(req.text), req.reply);
             }
-            Artifact::Trace => {
-                let Some(name) = stream_session.or(self.default.as_deref()) else {
-                    return self.answer(&req.reply, Response::Error("no session is open".into()));
-                };
-                let name = name.to_string();
-                match self.sessions.get(&name) {
-                    Some(thread) => {
-                        let sent = thread.send(SessionWork::IngestText(req.text), req.reply);
-                        if let Err(mpsc::SendError(cmd)) = sent {
-                            let msg = format!("session {name:?}: engine thread is gone");
-                            self.answer(&cmd.reply, Response::Error(msg));
-                        }
-                    }
-                    None => {
-                        let msg = format!("unknown session {name:?}");
-                        self.answer(&req.reply, Response::Error(msg));
-                    }
+            Artifact::Trace => match stream_session.or(self.default.as_deref()) {
+                Some(name) => {
+                    let name = name.to_string();
+                    self.forward(&name, SessionWork::IngestText(req.text), req.reply);
                 }
-            }
+                None => self.answer(&req.reply, Response::Error("no session is open".into())),
+            },
             // A streamed checkpoint artifact resumes its own named
             // session. Unlike snapshot/trace bodies, the artifact must
             // be parsed *here*: the target session's name lives inside
@@ -957,55 +894,20 @@ impl Router {
                 Ok(ckpt) => match crate::session::resolve_checkpoint_snapshot(&ckpt, None) {
                     Ok(snapshot) => {
                         let name = ckpt.session.clone();
-                        let sent = self
-                            .thread_entry(&name)
-                            .send(SessionWork::Resume(Box::new((ckpt, snapshot))), req.reply);
-                        if let Err(mpsc::SendError(cmd)) = sent {
-                            let msg = format!("session {name:?}: engine thread is gone");
-                            self.answer(&cmd.reply, Response::Error(msg));
-                        }
-                        if self.default.is_none() {
-                            self.set_default(Some(name));
-                        }
+                        let work = SessionWork::Resume(Box::new((ckpt, snapshot)));
+                        self.load(name, work, req.reply);
                     }
                     Err(e) => self.answer(&req.reply, Response::Error(e)),
                 },
                 Err(e) => self.answer(&req.reply, Response::Error(e.to_string())),
             },
-            Artifact::Query => match parse_query(&req.text) {
-                Ok(q) => {
-                    // Telemetry is process-global: answered on the
-                    // router thread, never queued behind engine work.
-                    if let Some(reply) = crate::obs::obs_reply_for(&q) {
-                        self.summary.count_obs();
-                        let _ = req.reply.send(reply);
-                        return;
-                    }
-                    if q.kind == QueryKind::Sessions {
-                        let list = self.session_infos();
-                        return self.answer(&req.reply, Response::Sessions(list));
-                    }
-                    let Some(name) = q.session.as_deref().or(self.default.as_deref()) else {
-                        return self
-                            .answer(&req.reply, Response::Error("no session is open".into()));
-                    };
-                    let name = name.to_string();
-                    match self.sessions.get(&name) {
-                        Some(thread) => {
-                            let sent = thread.send(SessionWork::Query(Box::new(q.kind)), req.reply);
-                            if let Err(mpsc::SendError(cmd)) = sent {
-                                let msg = format!("session {name:?}: engine thread is gone");
-                                self.answer(&cmd.reply, Response::Error(msg));
-                            }
-                        }
-                        None => {
-                            let msg = format!("unknown session {name:?}");
-                            self.answer(&req.reply, Response::Error(msg));
-                        }
-                    }
+            Artifact::Query => {
+                let started = std::time::Instant::now();
+                match parse_query(&req.text) {
+                    Ok(q) => self.route_query(q, req.reply, started),
+                    Err(e) => self.answer(&req.reply, Response::Error(e.to_string())),
                 }
-                Err(e) => self.answer(&req.reply, Response::Error(e.to_string())),
-            },
+            }
             Artifact::Report
             | Artifact::Response
             | Artifact::Metrics
@@ -1017,6 +919,54 @@ impl Router {
                 Response::Error(format!("cannot serve a {kind} artifact")),
             ),
         }
+    }
+
+    /// Routes a (re)load to the named session's thread, spawning it
+    /// first if needed; the first name ever loaded becomes the default
+    /// stream target.
+    fn load(&mut self, name: String, work: SessionWork, reply: mpsc::Sender<String>) {
+        self.thread_entry(&name);
+        self.forward(&name, work, reply);
+        if self.default.is_none() {
+            self.set_default(Some(name));
+        }
+    }
+
+    /// Queues work on an existing session's thread. An unknown name, or
+    /// a thread that is gone, is answered from here so the client is
+    /// never left hanging on a dead channel.
+    fn forward(&mut self, name: &str, work: SessionWork, reply: mpsc::Sender<String>) {
+        let sent = match self.sessions.get(name) {
+            Some(thread) => thread.send(work, reply),
+            None => {
+                let msg = format!("unknown session {name:?}");
+                return self.answer(&reply, Response::Error(msg));
+            }
+        };
+        if let Err(mpsc::SendError(cmd)) = sent {
+            let msg = format!("session {name:?}: engine thread is gone");
+            self.answer(&cmd.reply, Response::Error(msg));
+        }
+    }
+
+    /// Routes one parsed query. Server-level queries are answered on
+    /// this thread — telemetry is process-global and `sessions` reads
+    /// the per-thread info caches, so neither ever queues behind
+    /// engine work — and recorded in the query plane under `broker`,
+    /// like the answers session threads time themselves.
+    fn route_query(&mut self, q: Query, reply: mpsc::Sender<String>, started: std::time::Instant) {
+        if let Some(text) = crate::obs::obs_reply_for(&q) {
+            self.summary.count_obs();
+            let _ = reply.send(text);
+        } else if q.kind == QueryKind::Sessions {
+            let list = self.session_infos();
+            self.answer(&reply, Response::Sessions(list));
+        } else if let Some(name) = q.session.clone().or_else(|| self.default.clone()) {
+            return self.forward(&name, SessionWork::Query(Box::new(q.kind)), reply);
+        } else {
+            self.answer(&reply, Response::Error("no session is open".into()));
+        }
+        crate::obs::record_query("broker", &q, started.elapsed());
     }
 
     /// Collects every session's info line (name-ordered; sessions whose
@@ -1040,7 +990,8 @@ impl Router {
     }
 
     /// Runs the routing loop until every request sender is dropped,
-    /// then drains the session threads and returns the summed summary.
+    /// then drains the session threads and returns the summed summary
+    /// of the artifacts served (preloads excluded).
     pub fn run(mut self, requests: mpsc::Receiver<Request>) -> ServeSummary {
         for req in requests {
             self.dispatch(req);
@@ -1052,13 +1003,15 @@ impl Router {
                 summary.merge(&s);
             }
         }
+        summary.artifacts = summary.artifacts.saturating_sub(self.preloaded);
         summary
     }
 }
 
-/// Runs a per-session-threaded serve loop over one artifact stream —
-/// the threaded sibling of [`crate::server::serve_stream`], used when a
-/// follower or socket pump needs to coexist with the stream.
+/// Serves one artifact stream through `router`: the router runs on its
+/// own thread while this one pumps `input` into it and writes the
+/// replies to `output`, until end of input. The in-process shape of
+/// `dna serve`'s pipe mode.
 pub fn route_stream(
     router: Router,
     input: &mut impl std::io::BufRead,
@@ -1119,7 +1072,7 @@ mod tests {
         pump_stream(&tx, &mut Cursor::new(stream.into_bytes()), &mut out).unwrap();
         drop(tx);
         let summary = handle.join().unwrap();
-        assert_eq!(summary.artifacts, 3 + 2); // 2 loads + 3 queries
+        assert_eq!(summary.artifacts, 3); // preloads are not served artifacts
         assert_eq!(summary.queries, 2); // sessions + stats (loads and the error are not queries)
         assert_eq!(summary.errors, 1);
         let out = String::from_utf8(out).unwrap();

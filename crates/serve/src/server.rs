@@ -1,30 +1,24 @@
 //! The transport layer: a stream of `dna-io` artifacts in, a stream of
-//! `response` artifacts out.
+//! replies out.
 //!
 //! The protocol is plain artifact concatenation — the same bytes `dna
 //! dump` writes to files can be piped straight into a server. Framing
 //! splits on the top-level `end` sentinel (see FORMAT.md "Framing on a
-//! stream"); each inbound artifact is dispatched by kind:
-//!
-//! * **snapshot** → (re)loads the stream-target session;
-//! * **trace**    → epochs are ingested incrementally into the
-//!   stream-target session;
-//! * **query**    → answered against its named (or default) session.
-//!
-//! Every inbound artifact produces exactly one outbound `response`, so
-//! a client can correlate by position. Malformed input is answered with
+//! stream"). Every inbound artifact produces exactly one reply, so a
+//! client can correlate by position. Malformed input is answered with
 //! `error` responses — the server never dies on bad bytes.
 //!
-//! Threading: the dataflow engine is deliberately thread-local (`Rc`
-//! internals), so the [`SessionManager`] never crosses threads. The
-//! single-stream loop ([`serve_stream`]) runs wherever the manager
-//! lives; multi-client service (stdin tail + unix-socket queries) runs
-//! a **broker**: pump threads own the sockets and exchange raw artifact
-//! text — plain `Send` strings — with the one engine thread over
-//! channels ([`run_broker`] / [`pump_stream`] / [`accept_loop`]).
+//! Every transport is a framer in front of the one engine side, the
+//! [`crate::Router`]. The dataflow engine is deliberately thread-local
+//! (`Rc` internals), so pumps exchange raw artifact text — plain `Send`
+//! strings — with it over a channel: a [`Request`] carries the text and
+//! the channel its reply goes back on. Stdin ([`pump_stream`]), a
+//! followed trace file ([`follow_trace`]), unix-socket connections
+//! ([`accept_loop`]) and TCP connections ([`crate::net`]) all feed that
+//! one channel, so dispatch, the panic fence and the fault hook are the
+//! same on every transport.
 
-use crate::session::SessionManager;
-use dna_io::{parse_query, parse_snapshot, parse_trace, write_response, Artifact, Response};
+use dna_io::Response;
 use std::io::{self, BufRead, Write};
 use std::sync::mpsc;
 
@@ -101,131 +95,8 @@ pub fn read_artifact(input: &mut impl BufRead) -> io::Result<Option<String>> {
     }
 }
 
-/// Dispatches one inbound artifact, returning the one response it maps
-/// to plus the number of change epochs the artifact applied (nonzero
-/// only for traces — including a trace whose response is an error after
-/// a mid-stream failure). `stream_session` is the ingest target for
-/// snapshot/trace artifacts (queries name their own session); `None`
-/// targets the manager's default session.
-pub fn handle_artifact(
-    mgr: &mut SessionManager,
-    stream_session: Option<&str>,
-    text: &str,
-) -> (Response, u64) {
-    let kind = match dna_io::sniff(text) {
-        Ok((_, kind)) => kind,
-        Err(e) => return (Response::Error(e.to_string()), 0),
-    };
-    let response = match kind {
-        Artifact::Snapshot => match parse_snapshot(text) {
-            Ok(snap) => {
-                let name = stream_session
-                    .or(mgr.default_session())
-                    .unwrap_or("main")
-                    .to_string();
-                mgr.open(&name, snap).unwrap_or_else(Response::Error)
-            }
-            Err(e) => Response::Error(e.to_string()),
-        },
-        Artifact::Trace => {
-            let start = std::time::Instant::now();
-            match parse_trace(text) {
-                Ok(trace) => {
-                    // The parse already happened; hand its cost to the
-                    // session so epoch lifecycle spans start at the wire.
-                    let parse_ns = start.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-                    return mgr.ingest_trace_timed(stream_session, &trace, parse_ns);
-                }
-                Err(e) => Response::Error(e.to_string()),
-            }
-        }
-        Artifact::Query => match parse_query(text) {
-            Ok(q) => mgr.answer(&q),
-            Err(e) => Response::Error(e.to_string()),
-        },
-        // An inbound checkpoint artifact resumes its session — the
-        // streamed twin of `dna serve --resume` (a streamed artifact
-        // has no file, so `ref` snapshots resolve against the server's
-        // working directory). The session name comes from the artifact,
-        // not the stream binding: a checkpoint *is* a named session.
-        Artifact::Checkpoint => match dna_io::parse_checkpoint(text) {
-            Ok(ckpt) => match crate::session::resolve_checkpoint_snapshot(&ckpt, None) {
-                Ok(snapshot) => mgr
-                    .resume_checkpoint(&ckpt, snapshot)
-                    .unwrap_or_else(Response::Error),
-                Err(e) => Response::Error(e),
-            },
-            Err(e) => Response::Error(e.to_string()),
-        },
-        Artifact::Report
-        | Artifact::Response
-        | Artifact::Metrics
-        | Artifact::Spans
-        | Artifact::History
-        | Artifact::Health
-        | Artifact::Notify => Response::Error(format!("cannot serve a {kind} artifact")),
-    };
-    (response, 0)
-}
-
-/// Answers the standing-query commands (`subscribe` / `unsubscribe` /
-/// `notifications`) whose replies are `notify` artifacts, not
-/// `response`s — the transports dispatch these before
-/// [`handle_artifact`], mirroring how telemetry queries are intercepted
-/// (see [`crate::obs::obs_reply`]). `None` for anything else, including
-/// malformed queries (the normal path owns that error story).
-pub fn subscription_reply(mgr: &SessionManager, text: &str) -> Option<String> {
-    let (_, kind) = dna_io::sniff(text).ok()?;
-    if kind != Artifact::Query {
-        return None;
-    }
-    let q = parse_query(text).ok()?;
-    mgr.subscription_reply(&q)
-}
-
-/// Runs one serve loop on the manager's own thread: artifacts from
-/// `input`, responses to `output`, until end of input.
-pub fn serve_stream(
-    mgr: &mut SessionManager,
-    stream_session: Option<&str>,
-    input: &mut impl BufRead,
-    output: &mut impl Write,
-) -> io::Result<ServeSummary> {
-    let mut summary = ServeSummary::default();
-    while let Some(text) = read_artifact(input)? {
-        let started = std::time::Instant::now();
-        // Telemetry queries are answered at the transport, straight
-        // from the process-global registry — the engine never blocks a
-        // scrape (see [`crate::obs`]).
-        if let Some(reply) = crate::obs::obs_reply(&text) {
-            summary.count_obs();
-            crate::obs::record_query_span("pipe", &text, started.elapsed());
-            output.write_all(reply.as_bytes())?;
-            output.flush()?;
-            continue;
-        }
-        // Standing-query commands answer with notify artifacts, so they
-        // are dispatched ahead of the one-response-per-artifact path.
-        if let Some(reply) = subscription_reply(mgr, &text) {
-            summary.count_obs();
-            crate::obs::record_query_span("pipe", &text, started.elapsed());
-            output.write_all(reply.as_bytes())?;
-            output.flush()?;
-            continue;
-        }
-        let (response, epochs_applied) = handle_artifact(mgr, stream_session, &text);
-        crate::obs::record_query_span("pipe", &text, started.elapsed());
-        summary.count(&response, epochs_applied);
-        output.write_all(write_response(&response).as_bytes())?;
-        // One response per artifact is the unit of interaction: flush so
-        // pipe/socket clients are never left waiting on a full buffer.
-        output.flush()?;
-    }
-    Ok(summary)
-}
-
-/// One brokered request: an inbound artifact's text and the channel its
-/// serialized response goes back on. Both sides are plain strings, so
+/// One routed request: an inbound artifact's text and the channel its
+/// serialized reply goes back on. Both sides are plain strings, so
 /// requests cross threads even though the engine cannot.
 pub struct Request {
     /// Raw artifact text as framed off the wire.
@@ -239,43 +110,11 @@ pub struct Request {
     pub reply: mpsc::Sender<String>,
 }
 
-/// The engine side of the broker: processes requests in arrival order
-/// until every [`Request`] sender is dropped. Ingest and queries from
-/// different clients interleave here at artifact granularity — a query
-/// never observes a half-applied epoch. Returns the cross-client
-/// summary. (The single-engine-thread sibling of
-/// `Router::run`, which gives every session its own
-/// engine thread instead.)
-pub fn run_broker(mgr: &mut SessionManager, requests: mpsc::Receiver<Request>) -> ServeSummary {
-    let mut summary = ServeSummary::default();
-    for req in requests {
-        let started = std::time::Instant::now();
-        if let Some(reply) = crate::obs::obs_reply(&req.text) {
-            summary.count_obs();
-            crate::obs::record_query_span("broker", &req.text, started.elapsed());
-            let _ = req.reply.send(reply);
-            continue;
-        }
-        if let Some(reply) = subscription_reply(mgr, &req.text) {
-            summary.count_obs();
-            crate::obs::record_query_span("broker", &req.text, started.elapsed());
-            let _ = req.reply.send(reply);
-            continue;
-        }
-        let (response, epochs_applied) = handle_artifact(mgr, req.session.as_deref(), &req.text);
-        crate::obs::record_query_span("broker", &req.text, started.elapsed());
-        summary.count(&response, epochs_applied);
-        // A client that hung up before its answer is not an engine
-        // problem; drop the response.
-        let _ = req.reply.send(write_response(&response));
-    }
-    summary
-}
-
-/// The client side of the broker: frames artifacts off `input`, ships
-/// them to the engine thread, writes the replies to `output` in order.
-/// Returns the number of artifacts pumped (end of input, broker gone,
-/// or client gone all end the pump).
+/// A stream's pump into the router: frames artifacts off `input`,
+/// ships them to the engine side, writes the replies to `output` in
+/// order. Returns the number of artifacts pumped (end of input, router
+/// gone, or client gone all end the pump). Stdin and every unix-socket
+/// connection are served by this loop.
 pub fn pump_stream(
     requests: &mpsc::Sender<Request>,
     input: &mut impl BufRead,
@@ -285,9 +124,8 @@ pub fn pump_stream(
 }
 
 /// [`pump_stream`] with the stream's snapshot/trace ingest bound to a
-/// session (the brokered twin of [`serve_stream`]'s `stream_session`;
-/// queries still name their own). For in-process pumps — wire clients
-/// have no session side-channel and always pump unbound.
+/// session (queries still name their own). For in-process pumps —
+/// wire clients have no session side-channel and always pump unbound.
 pub fn pump_stream_as(
     requests: &mpsc::Sender<Request>,
     session: Option<&str>,
@@ -305,10 +143,10 @@ pub fn pump_stream_as(
             })
             .is_err()
         {
-            break; // broker shut down
+            break; // router shut down
         }
         let Ok(response) = reply_rx.recv() else {
-            break; // broker shut down mid-request
+            break; // router shut down mid-request
         };
         pumped += 1;
         output.write_all(response.as_bytes())?;
@@ -321,7 +159,7 @@ pub fn pump_stream_as(
 /// acknowledgements: deep enough that a burst presents the engine a
 /// real backlog (the `--coalesce` drain caps merges well below this),
 /// bounded so a runaway writer cannot queue unbounded epochs in the
-/// broker.
+/// router.
 const FOLLOW_WINDOW: usize = 32;
 
 /// File-tail ingest (`dna serve --follow`): follows a growing trace
@@ -343,7 +181,7 @@ const FOLLOW_WINDOW: usize = 32;
 /// instead of one round-trip at a time. That is what lets a fast
 /// writer build a real ingest backlog — which `--coalesce` then drains
 /// as merged commits — while the window bound keeps a runaway writer
-/// from queueing unbounded epochs in the broker. Acknowledgements are
+/// from queueing unbounded epochs in the router. Acknowledgements are
 /// always fully drained before the follower sleeps at a quiet EOF and
 /// before it returns, so error reporting lags a stalled stream by at
 /// most one poll, never indefinitely.
@@ -516,8 +354,10 @@ fn tail_rotated(path: &std::path::Path, file: &std::fs::File, consumed: u64) -> 
 }
 
 /// Accepts unix-socket connections forever, pumping each on its own
-/// thread into the broker. Holds a [`Request`] sender for as long as it
-/// runs, keeping the broker alive after stdin ends. Accept errors
+/// thread into the router with [`pump_stream`] — the same pump stdin
+/// uses, so a socket client has no dispatcher of its own. Holds a
+/// [`Request`] sender for as long as it runs, keeping the router alive
+/// after stdin ends. Accept errors
 /// (EINTR, fd exhaustion under load, ...) are transient for a daemon:
 /// they are reported to stderr and the loop keeps accepting — one bad
 /// accept must not leave a healthy-looking server deaf to new clients.
@@ -561,6 +401,7 @@ pub fn query_socket(path: &std::path::Path, query_text: &str) -> io::Result<Stri
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::router::{route_stream, Router};
     use dna_io::{parse_response, write_query, write_snapshot, write_trace, Query, QueryKind};
 
     fn one_router_snapshot() -> net_model::Snapshot {
@@ -587,14 +428,23 @@ mod tests {
     fn truncated_stream_artifact_is_a_typed_error_response() {
         let mut input = io::Cursor::new(b"dna-io v5 query\n  stats\n".to_vec());
         let text = read_artifact(&mut input).unwrap().unwrap();
-        let mut mgr = SessionManager::new(Default::default());
-        let (r, epochs) = handle_artifact(&mut mgr, None, &text);
-        assert!(matches!(r, Response::Error(_)));
-        assert_eq!(epochs, 0);
+        let mut out = Vec::new();
+        let summary = route_stream(
+            Router::new(Default::default()),
+            &mut io::Cursor::new(text.into_bytes()),
+            &mut out,
+        )
+        .unwrap();
+        let reply = String::from_utf8(out).unwrap();
+        assert!(
+            matches!(parse_response(&reply), Ok(Response::Error(_))),
+            "{reply}"
+        );
+        assert_eq!((summary.errors, summary.epochs), (1, 0));
     }
 
     #[test]
-    fn serve_stream_answers_one_response_per_artifact() {
+    fn route_stream_answers_one_response_per_artifact() {
         let stream = format!(
             "{}{}{}",
             write_snapshot(&one_router_snapshot()),
@@ -604,11 +454,9 @@ mod tests {
                 kind: QueryKind::Sessions,
             })
         );
-        let mut mgr = SessionManager::new(Default::default());
         let mut out = Vec::new();
-        let summary = serve_stream(
-            &mut mgr,
-            None,
+        let summary = route_stream(
+            Router::new(Default::default()),
             &mut io::Cursor::new(stream.into_bytes()),
             &mut out,
         )
@@ -649,9 +497,9 @@ mod tests {
                 pump_stream(&tx, &mut io::Cursor::new(stream.into_bytes()), &mut out).unwrap();
             (pumped, String::from_utf8(out).unwrap())
         });
-        // The engine never leaves this thread; only strings cross.
-        let mut mgr = SessionManager::new(Default::default());
-        let summary = run_broker(&mut mgr, rx);
+        // Only strings cross into the router; the engine lives on the
+        // session thread the router spawns.
+        let summary = Router::new(Default::default()).run(rx);
         let (pumped, out) = client.join().unwrap();
         assert_eq!(pumped, 2);
         assert_eq!(summary.artifacts, 2);

@@ -4,9 +4,10 @@
 //! (plus an optional [`dna_core::ScratchDiffer`] verification shadow),
 //! ingests change epochs incrementally, and retains a bounded window of
 //! canonical per-epoch diffs so history queries (blast radius, report
-//! ranges) are answered from memory. A [`SessionManager`] owns several
-//! named sessions — one per loaded snapshot — enabling concurrent
-//! scenarios against one server.
+//! ranges) are answered from memory. A server runs each named session
+//! on its own engine thread behind the [`crate::Router`], which owns
+//! the session and is the only code that dispatches to it; tests and
+//! benchmarks drive a `Session` directly.
 //!
 //! Every query is answered from incrementally maintained state; nothing
 //! on the query path re-simulates the network.
@@ -17,12 +18,12 @@ use data_plane::Outcome;
 use dna_core::{ReplayCheckpoint, ReplayMode, ReplaySession, ReplayTotals};
 use dna_io::{
     Checkpoint, CheckpointConfig, CheckpointSource, CheckpointTotals, EpochDiff, Notify,
-    NotifyEvent, Query, QueryKind, Response, ServiceStats, SessionInfo, SubscriptionSpec, Trace,
+    NotifyEvent, QueryKind, Response, ServiceStats, SessionInfo, SubscriptionSpec, Trace,
     TraceEpoch,
 };
 use dna_obs::EpochSpan;
 use net_model::{Flow, Snapshot};
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeSet, VecDeque};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
@@ -194,10 +195,9 @@ struct SessionObs {
     dd_tuples: dna_obs::Counter,
     /// Live resource accounting (heartbeat, retained/published bytes).
     /// The session layer shares these cells with the router's engine
-    /// thread — registration is get-or-create — so single-threaded
-    /// transports (pipe, broker) still beat the heartbeat and report
-    /// memory, and the health query sees every session on every
-    /// transport.
+    /// thread — registration is get-or-create — so a session driven
+    /// directly (tests, benchmarks) still beats the heartbeat and
+    /// reports memory.
     acct: dna_obs::SessionAccounting,
 }
 
@@ -235,7 +235,7 @@ pub struct Session {
     mismatches: u64,
     /// Where this session publishes its immutable [`QueryView`] after
     /// every applied epoch (see [`crate::view`]). `None` outside the
-    /// TCP front door — pipe-mode sessions never pay the capture.
+    /// TCP front door — other transports never pay the capture.
     view: Option<Arc<ViewSlot>>,
     /// Standing queries ([`crate::subs`]). Interior mutability because
     /// subscribe/poll arrive on the `&self` query path while
@@ -695,7 +695,7 @@ impl Session {
             QueryKind::Report { from, to } => self.report(*from, *to),
             QueryKind::Stats => Response::Stats(self.stats()),
             QueryKind::Sessions => {
-                Response::Error("sessions is a server-level query; the manager answers it".into())
+                Response::Error("sessions is a server-level query; the router answers it".into())
             }
             // Telemetry is process-global: every transport intercepts
             // these before session dispatch (see [`crate::obs`]), so
@@ -756,33 +756,11 @@ impl Session {
     }
 
     fn blast(&self, last: usize) -> Response {
-        let window = last.min(self.history.len());
-        let mut flows = 0u64;
-        let mut devices: BTreeMap<&str, u64> = BTreeMap::new();
-        for rec in self.history.iter().rev().take(window) {
-            for f in &rec.diff.flows {
-                flows += 1;
-                *devices.entry(&f.src).or_insert(0) += 1;
-            }
-        }
-        Response::Blast {
-            epochs: window as u64,
-            flows,
-            devices: devices
-                .into_iter()
-                .map(|(d, n)| (d.to_string(), n))
-                .collect(),
-        }
+        crate::view::blast(self.history.iter().map(|r| (r.index, &*r.diff)), last)
     }
 
     fn report(&self, from: usize, to: usize) -> Response {
-        let epochs = self
-            .history
-            .iter()
-            .filter(|r| r.index >= from && r.index < to)
-            .map(|r| (r.index, (*r.diff).clone()))
-            .collect();
-        Response::Report { epochs }
+        crate::view::report(self.history.iter().map(|r| (r.index, &*r.diff)), from, to)
     }
 
     /// The session's statistics — counters and state sizes straight off
@@ -1079,186 +1057,6 @@ impl Session {
     }
 }
 
-/// Owner of the server's named sessions.
-pub struct SessionManager {
-    sessions: BTreeMap<String, Session>,
-    default: Option<String>,
-    config: SessionConfig,
-    hub: Option<Arc<NotifyHub>>,
-}
-
-impl SessionManager {
-    /// An empty manager; sessions opened later inherit `config`.
-    pub fn new(config: SessionConfig) -> Self {
-        SessionManager {
-            sessions: BTreeMap::new(),
-            default: None,
-            config,
-            hub: None,
-        }
-    }
-
-    /// Attaches a notify hub: every current and future session pushes
-    /// its standing-query notifies through it (the single-threaded
-    /// broker's counterpart of [`crate::Router::with_notify_hub`]).
-    pub fn set_notify_hub(&mut self, hub: Arc<NotifyHub>) {
-        for session in self.sessions.values_mut() {
-            session.set_notify_hub(Arc::clone(&hub));
-        }
-        self.hub = Some(hub);
-    }
-
-    /// Opens (or replaces) the named session over a snapshot. The first
-    /// session opened becomes the default target for unaddressed
-    /// queries and stream ingest.
-    pub fn open(&mut self, name: &str, snapshot: Snapshot) -> Result<Response, String> {
-        let devices = snapshot.device_count() as u64;
-        let links = snapshot.links.len() as u64;
-        let mut session = Session::open(name, snapshot, self.config.clone())?;
-        if let Some(hub) = &self.hub {
-            session.set_notify_hub(Arc::clone(hub));
-        }
-        self.sessions.insert(name.to_string(), session);
-        if self.default.is_none() {
-            self.default = Some(name.to_string());
-        }
-        Ok(Response::Loaded {
-            session: name.to_string(),
-            devices,
-            links,
-        })
-    }
-
-    /// Opens (or replaces) a session by resuming a checkpoint; the
-    /// session keeps the name recorded inside the artifact. Like
-    /// [`SessionManager::open`], the first session becomes the default.
-    pub fn resume_checkpoint(
-        &mut self,
-        ckpt: &dna_io::Checkpoint,
-        snapshot: Snapshot,
-    ) -> Result<Response, String> {
-        let devices = snapshot.device_count() as u64;
-        let links = snapshot.links.len() as u64;
-        let mut session = Session::resume(ckpt, snapshot, &self.config)?;
-        if let Some(hub) = &self.hub {
-            session.set_notify_hub(Arc::clone(hub));
-        }
-        let name = session.name().to_string();
-        self.sessions.insert(name.clone(), session);
-        if self.default.is_none() {
-            self.default = Some(name.clone());
-        }
-        Ok(Response::Loaded {
-            session: name,
-            devices,
-            links,
-        })
-    }
-
-    /// The default session's name, once one is open.
-    pub fn default_session(&self) -> Option<&str> {
-        self.default.as_deref()
-    }
-
-    /// Number of open sessions.
-    pub fn session_count(&self) -> usize {
-        self.sessions.len()
-    }
-
-    /// Direct access to a session (tests, bench).
-    pub fn session(&self, name: &str) -> Option<&Session> {
-        self.sessions.get(name)
-    }
-
-    fn resolve(&self, name: Option<&str>) -> Result<&Session, Response> {
-        let name = match name.or(self.default.as_deref()) {
-            Some(n) => n,
-            None => return Err(Response::Error("no session is open".into())),
-        };
-        self.sessions
-            .get(name)
-            .ok_or_else(|| Response::Error(format!("unknown session {name:?}")))
-    }
-
-    fn resolve_mut(&mut self, name: Option<&str>) -> Result<&mut Session, Response> {
-        let name = match name.or(self.default.as_deref()) {
-            Some(n) => n.to_string(),
-            None => return Err(Response::Error("no session is open".into())),
-        };
-        match self.sessions.get_mut(&name) {
-            Some(s) => Ok(s),
-            None => Err(Response::Error(format!("unknown session {name:?}"))),
-        }
-    }
-
-    /// Ingests a trace into the named (default: first-opened) session.
-    /// Returns the response plus the number of epochs actually applied —
-    /// nonzero even when the response is an error, since a trace failing
-    /// mid-stream leaves its earlier epochs applied.
-    pub fn ingest_trace(&mut self, session: Option<&str>, trace: &Trace) -> (Response, u64) {
-        self.ingest_trace_timed(session, trace, 0)
-    }
-
-    /// [`SessionManager::ingest_trace`] carrying the wire-parse time
-    /// the caller spent on the trace artifact (see
-    /// [`Session::ingest_trace_timed`]).
-    pub fn ingest_trace_timed(
-        &mut self,
-        session: Option<&str>,
-        trace: &Trace,
-        parse_ns: u64,
-    ) -> (Response, u64) {
-        let s = match self.resolve_mut(session) {
-            Ok(s) => s,
-            Err(r) => return (r, 0),
-        };
-        match s.ingest_trace_timed(trace, parse_ns) {
-            Ok((epochs, flows)) => (
-                Response::Ingested {
-                    session: s.name().to_string(),
-                    epochs: epochs as u64,
-                    flows: flows as u64,
-                    total: s.epochs() as u64,
-                },
-                epochs as u64,
-            ),
-            Err((applied, e)) => (Response::Error(e), applied as u64),
-        }
-    }
-
-    /// Answers one protocol query.
-    pub fn answer(&self, q: &Query) -> Response {
-        if q.kind == QueryKind::Sessions {
-            return Response::Sessions(self.sessions.values().map(Session::info).collect());
-        }
-        match self.resolve(q.session.as_deref()) {
-            Ok(s) => s.answer(&q.kind),
-            Err(r) => r,
-        }
-    }
-
-    /// Answers the standing-query commands, whose replies are `notify`
-    /// artifacts ([`Session::subscription_reply`] resolved through the
-    /// manager's session table); `None` for every other query kind, and
-    /// a serialized `error` response for resolution failures.
-    pub fn subscription_reply(&self, q: &Query) -> Option<String> {
-        if !matches!(
-            q.kind,
-            QueryKind::Subscribe(_)
-                | QueryKind::Unsubscribe { .. }
-                | QueryKind::Notifications { .. }
-        ) {
-            return None;
-        }
-        Some(match self.resolve(q.session.as_deref()) {
-            Ok(s) => s
-                .subscription_reply(&q.kind)
-                .expect("subscription kind checked above"),
-            Err(r) => dna_io::write_response(&r),
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1544,8 +1342,7 @@ mod tests {
     #[test]
     fn partial_trace_failure_reports_applied_epochs() {
         let ft = fat_tree(4, Routing::Ebgp);
-        let mut mgr = SessionManager::new(SessionConfig::default());
-        mgr.open("p", ft.snapshot.clone()).unwrap();
+        let mut s = Session::open("p", ft.snapshot.clone(), SessionConfig::default()).unwrap();
         let mut gen = ScenarioGen::new(5);
         let good = gen
             .generate(&ft.snapshot, ScenarioKind::LinkFailure)
@@ -1553,70 +1350,14 @@ mod tests {
         let bad = net_model::ChangeSet::single(net_model::Change::DeviceDown("ghost".into()));
         let trace = Trace::from_changesets(vec![good, bad]);
         // The first epoch stays applied (stream semantics); the error
-        // response must not hide that from the caller's accounting.
-        let (resp, applied) = mgr.ingest_trace(Some("p"), &trace);
-        match resp {
-            Response::Error(msg) => assert!(msg.contains("1 earlier epoch"), "{msg}"),
-            other => panic!("expected error, got {other:?}"),
-        }
-        assert_eq!(applied, 1);
-        assert_eq!(mgr.session("p").unwrap().epochs(), 1);
-    }
-
-    #[test]
-    fn manager_serves_multiple_named_sessions() {
-        let ft4 = fat_tree(4, Routing::Ebgp);
-        let ft4b = fat_tree(4, Routing::Ospf);
-        let mut mgr = SessionManager::new(SessionConfig::default());
-        mgr.open("a", ft4.snapshot).unwrap();
-        mgr.open("b", ft4b.snapshot).unwrap();
-        assert_eq!(mgr.default_session(), Some("a"));
-        assert_eq!(mgr.session_count(), 2);
-        // Ingest into the non-default session only.
-        let mut gen = ScenarioGen::new(3);
-        let cs = gen
-            .generate(
-                mgr.session("b").unwrap().snapshot(),
-                ScenarioKind::LinkFailure,
-            )
-            .unwrap();
-        let trace = Trace::from_changesets(vec![cs]);
-        match mgr.ingest_trace(Some("b"), &trace) {
-            (Response::Ingested { session, total, .. }, applied) => {
-                assert_eq!(session, "b");
-                assert_eq!(total, 1);
+        // must not hide that from the caller's accounting.
+        match s.ingest_trace(&trace) {
+            Err((applied, msg)) => {
+                assert!(msg.contains("1 earlier epoch"), "{msg}");
                 assert_eq!(applied, 1);
             }
-            (other, _) => panic!("expected ingested, got {other:?}"),
+            Ok(other) => panic!("expected a partial failure, got {other:?}"),
         }
-        assert_eq!(mgr.session("a").unwrap().epochs(), 0);
-        assert_eq!(mgr.session("b").unwrap().epochs(), 1);
-        // Queries address sessions by name; unknown names are errors.
-        match mgr.answer(&Query {
-            session: None,
-            kind: QueryKind::Sessions,
-        }) {
-            Response::Sessions(list) => {
-                assert_eq!(
-                    list.iter().map(|s| s.name.as_str()).collect::<Vec<_>>(),
-                    vec!["a", "b"]
-                );
-            }
-            other => panic!("expected sessions, got {other:?}"),
-        }
-        assert!(matches!(
-            mgr.answer(&Query {
-                session: Some("ghost".into()),
-                kind: QueryKind::Stats,
-            }),
-            Response::Error(_)
-        ));
-        match mgr.answer(&Query {
-            session: Some("b".into()),
-            kind: QueryKind::Stats,
-        }) {
-            Response::Stats(st) => assert_eq!((st.session.as_str(), st.epochs), ("b", 1)),
-            other => panic!("expected stats, got {other:?}"),
-        }
+        assert_eq!(s.epochs(), 1);
     }
 }

@@ -132,34 +132,53 @@ impl QueryView {
     }
 
     fn blast(&self, last: usize) -> Response {
-        let window = last.min(self.history.len());
-        let mut flows = 0u64;
-        let mut devices: BTreeMap<&str, u64> = BTreeMap::new();
-        for (_, diff) in self.history.iter().rev().take(window) {
-            for f in &diff.flows {
-                flows += 1;
-                *devices.entry(&f.src).or_insert(0) += 1;
-            }
-        }
-        Response::Blast {
-            epochs: window as u64,
-            flows,
-            devices: devices
-                .into_iter()
-                .map(|(d, n)| (d.to_string(), n))
-                .collect(),
-        }
+        blast(self.history.iter().map(|(i, d)| (*i, &**d)), last)
     }
 
     fn report(&self, from: usize, to: usize) -> Response {
-        let epochs = self
-            .history
-            .iter()
-            .filter(|(i, _)| *i >= from && *i < to)
-            .map(|(i, diff)| (*i, (**diff).clone()))
-            .collect();
-        Response::Report { epochs }
+        report(self.history.iter().map(|(i, d)| (*i, &**d)), from, to)
     }
+}
+
+/// `blast <last>`: flow diffs per source device over the newest `last`
+/// epochs of a retained history window (oldest first, clamped to what
+/// is retained). The one implementation behind both [`QueryView`] and
+/// `Session`, whichever container holds the window.
+pub(crate) fn blast<'a, I>(history: I, last: usize) -> Response
+where
+    I: DoubleEndedIterator<Item = (usize, &'a EpochDiff)> + ExactSizeIterator,
+{
+    let window = last.min(history.len());
+    let mut flows = 0u64;
+    let mut devices: BTreeMap<&str, u64> = BTreeMap::new();
+    for (_, diff) in history.rev().take(window) {
+        for f in &diff.flows {
+            flows += 1;
+            *devices.entry(&f.src).or_insert(0) += 1;
+        }
+    }
+    Response::Blast {
+        epochs: window as u64,
+        flows,
+        devices: devices
+            .into_iter()
+            .map(|(d, n)| (d.to_string(), n))
+            .collect(),
+    }
+}
+
+/// `report <from> <to>`: the retained epochs with index in
+/// `from..to`, in order (see [`blast`] for who shares it).
+pub(crate) fn report<'a>(
+    history: impl Iterator<Item = (usize, &'a EpochDiff)>,
+    from: usize,
+    to: usize,
+) -> Response {
+    let epochs = history
+        .filter(|(i, _)| *i >= from && *i < to)
+        .map(|(i, diff)| (i, diff.clone()))
+        .collect();
+    Response::Report { epochs }
 }
 
 /// Recovers a slot guard even when a previous holder panicked while

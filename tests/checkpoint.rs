@@ -21,8 +21,8 @@ use dna_io::{
     write_response, Query, QueryKind, Report, Response, Trace,
 };
 use dna_serve::{
-    read_artifact, resolve_checkpoint_snapshot, serve_stream, Session, SessionConfig,
-    SessionManager,
+    checkpoint_file_name, read_artifact, resolve_checkpoint_snapshot, route_stream, Router,
+    Session, SessionConfig,
 };
 use proptest::prelude::*;
 use std::io::Cursor;
@@ -136,38 +136,51 @@ fn pinned_service_smoke_responses_survive_crash_resume() {
             epochs: trace.epochs[mid..].to_vec(),
         },
     ];
-    // First life: load, ingest half, "crash".
-    let mut mgr = SessionManager::new(SessionConfig::default());
-    mgr.open("ft4_failures", snapshot).expect("session opens");
-    let mut out = Vec::new();
-    serve_stream(
-        &mut mgr,
-        None,
-        &mut Cursor::new(dna_io::write_trace(&halves[0]).into_bytes()),
-        &mut out,
-    )
-    .expect("first life serves");
-    let ckpt_text = write_checkpoint(
-        &mgr.session("ft4_failures")
-            .expect("session lives")
-            .checkpoint_artifact(),
-    );
-    drop(mgr);
-    // Second life: a fresh manager resumes from the bytes, ingests the
-    // rest, and answers the pinned smoke queries.
-    let ckpt = parse_checkpoint(&ckpt_text).expect("checkpoint parses");
-    let snapshot = resolve_checkpoint_snapshot(&ckpt, None).expect("inline snapshot");
-    let mut mgr = SessionManager::new(SessionConfig::default());
-    match mgr.resume_checkpoint(&ckpt, snapshot) {
-        Ok(Response::Loaded { session, .. }) => assert_eq!(session, "ft4_failures"),
-        other => panic!("expected loaded, got {other:?}"),
-    }
     let q = |kind: QueryKind| {
         write_query(&Query {
             session: None,
             kind,
         })
     };
+    // First life: load, ingest half, checkpoint on demand, "crash" —
+    // all that survives is the file the served session wrote.
+    let dir = std::env::temp_dir().join(format!("dna-ckpt-smoke-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("checkpoint dir");
+    let mut router = Router::new(SessionConfig {
+        checkpoint_dir: Some(dir.clone()),
+        ..Default::default()
+    });
+    router
+        .preload(vec![("ft4_failures".into(), snapshot)])
+        .expect("session opens");
+    let first = format!(
+        "{}{}",
+        dna_io::write_trace(&halves[0]),
+        q(QueryKind::Checkpoint)
+    );
+    let summary = route_stream(
+        router,
+        &mut Cursor::new(first.into_bytes()),
+        &mut Vec::new(),
+    )
+    .expect("first life serves");
+    assert_eq!(summary.errors, 0);
+    let ckpt_text = std::fs::read_to_string(dir.join(checkpoint_file_name("ft4_failures")))
+        .expect("checkpoint written");
+    let _ = std::fs::remove_dir_all(&dir);
+    // Second life: a fresh router resumes from the bytes, ingests the
+    // rest, and answers the pinned smoke queries.
+    let ckpt = parse_checkpoint(&ckpt_text).expect("checkpoint parses");
+    assert_eq!(ckpt.epochs as usize, mid);
+    let snapshot = resolve_checkpoint_snapshot(&ckpt, None).expect("inline snapshot");
+    let mut router = Router::new(SessionConfig::default());
+    let loaded = router
+        .preload_checkpoints(vec![(ckpt, snapshot)])
+        .expect("session resumes");
+    match dna_io::parse_response(&loaded[0]) {
+        Ok(Response::Loaded { session, .. }) => assert_eq!(session, "ft4_failures"),
+        other => panic!("expected loaded, got {other:?}"),
+    }
     let input = format!(
         "{}{}{}{}",
         dna_io::write_trace(&halves[1]),
@@ -179,13 +192,8 @@ fn pinned_service_smoke_responses_survive_crash_resume() {
         q(QueryKind::Report { from: 0, to: 1 }),
     );
     let mut out = Vec::new();
-    let summary = serve_stream(
-        &mut mgr,
-        None,
-        &mut Cursor::new(input.into_bytes()),
-        &mut out,
-    )
-    .expect("second life serves");
+    let summary = route_stream(router, &mut Cursor::new(input.into_bytes()), &mut out)
+        .expect("second life serves");
     assert_eq!(summary.errors, 0);
     assert_eq!(summary.epochs as usize, trace.epochs.len() - mid);
     // Pinned expectations: [ingest, reach, blast, report] responses.

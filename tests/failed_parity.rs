@@ -2,7 +2,7 @@
 //! engine thread has panicked and been fenced, *every* front door must
 //! answer queries for it with the same `error` response — the failure
 //! reason verbatim, byte-identical whether the query arrives over the
-//! engine request channel (the path stdin pipes and unix-socket broker
+//! engine request channel (the path stdin pipes and unix-socket
 //! clients share) or over TCP.
 //!
 //! The TCP path is the one that can drift: it normally answers

@@ -1,9 +1,10 @@
 //! The health & accounting plane, end to end:
 //!
 //! * `health` is a transport-level answer: the same registry state must
-//!   render **byte-identically** over all four transports — the pipe
-//!   server, the unix-socket broker, the router's engine channel, and
-//!   the TCP front door;
+//!   render **byte-identically** on every answer path — the TCP front
+//!   door's connection thread, the router's request channel (what the
+//!   unix-socket and `--follow` pumps feed), and a pipe-mode stream
+//!   through `route_stream`;
 //! * the watchdog semantics hold under forced conditions: a saturated
 //!   ingest queue degrades its session *and* the server rollup, while a
 //!   failed (panic-fenced) session stays contained — listed `failed`,
@@ -20,8 +21,7 @@ use dna_io::{
     parse_health, parse_history, write_query, write_trace, HealthStatus, Query, QueryKind, Trace,
 };
 use dna_serve::{
-    query_tcp, run_broker, serve_stream, tcp_accept_loop, Request, Router, SessionConfig,
-    SessionManager, ViewRegistry,
+    query_tcp, route_stream, tcp_accept_loop, Request, Router, SessionConfig, ViewRegistry,
 };
 use std::io::Cursor;
 use std::net::TcpListener;
@@ -61,7 +61,7 @@ fn obs_samples(h: &dna_io::HistoryReport) -> Vec<dna_obs::Sample> {
 }
 
 #[test]
-fn health_is_byte_identical_on_all_four_transports() {
+fn health_is_byte_identical_on_every_transport() {
     let ft = fat_tree(4, Routing::Ebgp);
     let mut gen = ScenarioGen::new(71);
     let epochs: Vec<_> = gen
@@ -108,7 +108,7 @@ fn health_is_byte_identical_on_all_four_transports() {
     std::thread::sleep(std::time::Duration::from_millis(20));
     dna_obs::history().record(dna_obs::uptime_ms(), &dna_obs::global().snapshot(None));
 
-    // ---- health, all four transports, byte for byte. ----
+    // ---- health, every transport, byte for byte. ----
     let health_q = q(QueryKind::Health);
 
     // 1. TCP front door (answered on the connection thread).
@@ -125,39 +125,19 @@ fn health_is_byte_identical_on_all_four_transports() {
     .expect("router request");
     let over_router = rrx.recv().expect("router reply");
 
-    // 3. The single-threaded pipe server. An empty manager: health is
+    // 3. Pipe mode: a stream through a second, empty router. Health is
     //    a transport-level answer and must not need an open session.
-    let mut pipe_mgr = SessionManager::new(Default::default());
     let mut pipe_out = Vec::new();
-    serve_stream(
-        &mut pipe_mgr,
-        None,
+    route_stream(
+        Router::new(SessionConfig::default()),
         &mut Cursor::new(health_q.clone().into_bytes()),
         &mut pipe_out,
     )
     .expect("pipe serve");
     let over_pipe = String::from_utf8(pipe_out).expect("utf-8");
 
-    // 4. The broker pump (the unix-socket transport's engine side).
-    let (btx, brx) = mpsc::channel();
-    let broker = std::thread::spawn(move || {
-        let mut mgr = SessionManager::new(Default::default());
-        run_broker(&mut mgr, brx)
-    });
-    let (reply_tx, reply_rx) = mpsc::channel();
-    btx.send(Request {
-        text: health_q.clone(),
-        session: None,
-        reply: reply_tx,
-    })
-    .expect("broker request");
-    let over_broker = reply_rx.recv().expect("broker reply");
-    drop(btx);
-    broker.join().expect("broker thread");
-
     assert_eq!(over_tcp, over_router, "tcp vs router health bytes drifted");
     assert_eq!(over_tcp, over_pipe, "tcp vs pipe health bytes drifted");
-    assert_eq!(over_tcp, over_broker, "tcp vs broker health bytes drifted");
 
     let healthy = parse_health(&over_tcp).expect("health parses");
     assert_eq!(healthy.server, HealthStatus::Ok);

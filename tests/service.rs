@@ -12,7 +12,7 @@
 
 use dna_core::DiffEngine;
 use dna_io::{parse_response, write_query, write_trace, Query, QueryKind, Response, Trace};
-use dna_serve::{read_artifact, serve_stream, SessionManager};
+use dna_serve::{read_artifact, route_stream, Router, Session, SessionConfig};
 use std::io::Cursor;
 use topo_gen::{fat_tree, Routing, ScenarioGen, ALL_SCENARIOS};
 
@@ -56,20 +56,50 @@ fn input_stream(trace: &Trace) -> String {
     input
 }
 
-fn serve_once(snapshot: &net_model::Snapshot, input: &str) -> (dna_serve::ServeSummary, String) {
-    let mut mgr = SessionManager::new(Default::default());
-    mgr.open("svc", snapshot.clone()).expect("session opens");
+/// Serves `input` through a router preloaded with `session` over
+/// `snapshot` — the pipe-mode shape of `dna serve`.
+fn serve(
+    session: &str,
+    snapshot: net_model::Snapshot,
+    input: String,
+) -> (dna_serve::ServeSummary, String) {
+    let mut router = Router::new(SessionConfig::default());
+    router
+        .preload(vec![(session.into(), snapshot)])
+        .expect("session opens");
     let mut out = Vec::new();
-    let summary = serve_stream(
-        &mut mgr,
-        None,
-        &mut Cursor::new(input.as_bytes().to_vec()),
-        &mut out,
+    let summary = route_stream(router, &mut Cursor::new(input.into_bytes()), &mut out)
+        .expect("serve loop runs");
+    (
+        summary,
+        String::from_utf8(out).expect("responses are utf-8"),
     )
-    .expect("serve loop runs");
-    // The session must have absorbed everything and stayed live.
-    let s = mgr.session("svc").expect("session lives");
+}
+
+fn serve_once(snapshot: &net_model::Snapshot, input: &str) -> (dna_serve::ServeSummary, String) {
+    let (summary, out) = serve("svc", snapshot.clone(), input.to_string());
+    // A reference session driven directly with the same trace: its
+    // final answers are the ones the served session gave.
+    let (_, trace) = workload();
+    let mut s = Session::open("svc", snapshot.clone(), SessionConfig::default()).expect("opens");
+    s.ingest_trace(&trace).expect("reference ingest");
     assert_eq!(s.epochs(), EPOCHS);
+    let mut cursor = Cursor::new(out.clone().into_bytes());
+    let mut replies = Vec::new();
+    while let Some(text) = read_artifact(&mut cursor).unwrap() {
+        replies.push(text);
+    }
+    // The served session absorbed everything: its last reach-pair
+    // answer (after the final slice) is the reference's final answer.
+    let final_reach = QueryKind::ReachPair {
+        src: "edge0_0".into(),
+        dst: "edge1_1".into(),
+    };
+    assert_eq!(
+        replies.get(22).map(String::as_str),
+        Some(dna_io::write_response(&s.answer(&final_reach)).as_str()),
+        "served answer diverged from the reference session"
+    );
     // Query answers must equal a from-scratch analysis of the FINAL
     // state: the incremental path tracked all 64 epochs exactly.
     let fresh = DiffEngine::new(s.snapshot().clone()).expect("fresh engine on final state");
@@ -90,10 +120,7 @@ fn serve_once(snapshot: &net_model::Snapshot, input: &str) -> (dna_serve::ServeS
             other => panic!("expected reach, got {other:?}"),
         }
     }
-    (
-        summary,
-        String::from_utf8(out).expect("responses are utf-8"),
-    )
+    (summary, out)
 }
 
 /// Strips the one nondeterministic response line (cumulative wall-clock
@@ -129,19 +156,10 @@ fn corpus_service_smoke_responses_are_pinned() {
         q(QueryKind::Blast { last: 8 }),
         q(QueryKind::Report { from: 0, to: 1 }),
     );
-    let mut mgr = SessionManager::new(Default::default());
-    mgr.open("ft4_failures", snapshot).expect("session opens");
-    let mut out = Vec::new();
-    let summary = serve_stream(
-        &mut mgr,
-        None,
-        &mut Cursor::new(input.into_bytes()),
-        &mut out,
-    )
-    .expect("serve loop runs");
+    let (summary, out) = serve("ft4_failures", snapshot, input);
     assert_eq!(summary.errors, 0);
     assert_eq!(
-        String::from_utf8(out).expect("utf-8"),
+        out,
         include_str!("corpus/service_smoke.expected.dna"),
         "service responses drifted from the pinned corpus smoke"
     );

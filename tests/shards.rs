@@ -1,5 +1,5 @@
 //! Shard-equivalence golden tests: the sharded init pipeline must be
-//! *observationally identical* to the single-threaded path. Every
+//! *observationally identical* to the unsharded bring-up. Every
 //! corpus scenario is replayed through engines brought up with
 //! `--shards 1/2/4` and must reproduce the checked-in report
 //! byte-for-byte; the pinned service smoke must produce the identical
@@ -9,7 +9,7 @@
 
 use dna_core::{ReplayMode, ReplaySession};
 use dna_io::{parse_snapshot, parse_trace, write_query, write_report, EpochDiff, Report};
-use dna_serve::{serve_stream, SessionConfig, SessionManager};
+use dna_serve::{route_stream, Router, SessionConfig};
 use std::io::Cursor;
 
 const CORPUS: &[(&str, &str, &str, &str)] = &[
@@ -59,8 +59,8 @@ fn corpus_reports_are_byte_identical_under_sharded_init() {
 }
 
 /// The pinned service smoke, from a session brought up with 4 shards:
-/// response bytes must match the same golden file the single-threaded
-/// smoke pins (tests/service.rs and CI).
+/// response bytes must match the same golden file the unsharded smoke
+/// pins (tests/service.rs and CI).
 #[test]
 fn service_smoke_responses_are_byte_identical_under_sharded_init() {
     let snapshot =
@@ -81,19 +81,16 @@ fn service_smoke_responses_are_byte_identical_under_sharded_init() {
         q(dna_io::QueryKind::Blast { last: 8 }),
         q(dna_io::QueryKind::Report { from: 0, to: 1 }),
     );
-    let mut mgr = SessionManager::new(SessionConfig {
+    let mut router = Router::new(SessionConfig {
         shards: 4,
         ..Default::default()
     });
-    mgr.open("ft4_failures", snapshot).expect("session opens");
+    router
+        .preload(vec![("ft4_failures".into(), snapshot)])
+        .expect("session opens");
     let mut out = Vec::new();
-    let summary = serve_stream(
-        &mut mgr,
-        None,
-        &mut Cursor::new(input.into_bytes()),
-        &mut out,
-    )
-    .expect("serve loop runs");
+    let summary = route_stream(router, &mut Cursor::new(input.into_bytes()), &mut out)
+        .expect("serve loop runs");
     assert_eq!(summary.errors, 0);
     assert_eq!(
         String::from_utf8(out).expect("utf-8"),

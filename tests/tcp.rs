@@ -69,8 +69,8 @@ fn q(session: Option<&str>, kind: QueryKind) -> String {
 /// The CI smoke's in-process twin over a real socket: the same corpus
 /// artifact stream, byte-for-byte the same pinned responses — proving
 /// the TCP transport (and the view read path answering its queries)
-/// is indistinguishable on the wire from the single-threaded pipe
-/// server that produced the golden file.
+/// is indistinguishable on the wire from the pipe transport that
+/// produced the golden file.
 #[test]
 fn tcp_responses_match_the_pinned_corpus_smoke() {
     let snapshot = dna_io::parse_snapshot(include_str!("corpus/ft4_failures.snap.dna"))
